@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .core import (
     CofMap,
+    _trusted,
     compose,
     dom_tail_start,
     invert,
@@ -67,7 +68,7 @@ def embed(x: Bicyclic) -> CofMap:
     An injective homomorphism; its image is recognized by
     :func:`as_bicyclic`.
     """
-    return CofMap(tuple(range(1, x.m + 1)), tuple(range(1, x.n + 1)))
+    return _trusted(tuple(range(1, x.m + 1)), tuple(range(1, x.n + 1)))
 
 
 def as_bicyclic(g: CofMap) -> Bicyclic | None:
@@ -112,7 +113,7 @@ def tail_projection(g: CofMap) -> tuple[CofMap, CofMap]:
     """
     t = shift_threshold(g)
     f = shift(g)
-    mu = CofMap(tuple(range(1, t)), tuple(range(1, t + f)))
+    mu = _trusted(tuple(range(1, t)), tuple(range(1, t + f)))
     eps = tail_identity(t + max(0, f))
     return mu, eps
 

@@ -27,7 +27,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import selftest
 from .bicyclic import (
     Bicyclic,
     as_bicyclic,
@@ -501,6 +500,8 @@ def cmd_stability(args, out):
 
 
 def cmd_selftest(args, out):
+    from . import selftest  # imported here, not at start-up: only this command needs it
+
     report = selftest.run_selftest(seed=args.seed, cases=args.cases)
     payload = {"seed": args.seed, "cases": args.cases,
                "passed": report.passed, "failed": report.failed,

@@ -7,6 +7,10 @@ forces the k-th smallest domain point onto the k-th smallest image point,
 so the pair of gap sets is a complete canonical description and everything
 here is exact integer arithmetic on short sorted tuples.
 
+Costs, for maps with n gaps in all: ``compose`` and ``canonical_leq`` take
+one pass over the sorted gap tuples, O(n); ``evaluate`` and ``preimage``
+take a binary search, O(log n).
+
 Composition is written left to right: ``compose(g, h)`` is ``x -> h(g(x))``
 (apply ``g`` first).  The ``*`` operator on :class:`CofMap` follows the
 same convention.
@@ -70,15 +74,27 @@ class CofMap:
 IDENTITY = CofMap()
 
 
+def _trusted(dom_gaps: GapSet, ran_gaps: GapSet) -> CofMap:
+    # Build a map from gap tuples that are valid by construction, skipping
+    # the checks of CofMap(...); input from outside never comes through here.
+    g = object.__new__(CofMap)
+    object.__setattr__(g, "dom_gaps", dom_gaps)
+    object.__setattr__(g, "ran_gaps", ran_gaps)
+    return g
+
+
 def _unrank(gaps: GapSet, r: int) -> int:
-    # r-th smallest positive integer (1-based) outside `gaps`
-    x = r
-    for q in gaps:
-        if q <= x:
-            x += 1
+    # r-th smallest positive integer (1-based) outside `gaps`: r plus the
+    # number of gaps below it.  gaps[i] lies below it iff gaps[i] - i <= r,
+    # and gaps[i] - i is nondecreasing, so that number is a binary search.
+    lo, hi = 0, len(gaps)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gaps[mid] - mid <= r:
+            lo = mid + 1
         else:
-            break
-    return x
+            hi = mid
+    return r + lo
 
 
 def evaluate(g: CofMap, n: int) -> int | None:
@@ -103,21 +119,35 @@ def preimage(g: CofMap, v: int) -> int | None:
     return _unrank(g.dom_gaps, v - k)
 
 
-def _compose_gaps(gd, gr, hd, hr):
-    # gap sets of the left-to-right composite, computed symbolically
-    dom = set(gd)
-    for d in hd:
-        if d not in gr:
-            # d is hit by g; its g-preimage drops out of the composite's domain
-            k = bisect_right(gr, d)
-            dom.add(_unrank(gd, d - k))
-    ran = set(hr)
-    for y in gr:
-        if y not in hd:
-            # y is missed by g but mapped on by h; its h-image is missed too
-            k = bisect_right(hd, y)
-            ran.add(_unrank(hr, y - k))
-    return tuple(sorted(dom)), tuple(sorted(ran))
+def _pull(points: GapSet, skip: GapSet, gaps: GapSet) -> list[int]:
+    # For each of `points` outside `skip`, in order: take its rank among the
+    # integers outside `skip` and return the integer of that rank outside
+    # `gaps`.  With skip/gaps the image/domain gaps of a map this carries
+    # image points back to their preimages, with domain/image gaps it
+    # carries domain points to their images.  The ranks increase with the
+    # points, so two pointers walk `skip` and `gaps` once: O(len of all three).
+    out = []
+    i = j = 0
+    n_skip, n_gaps = len(skip), len(gaps)
+    for p in points:
+        while i < n_skip and skip[i] < p:
+            i += 1
+        if i < n_skip and skip[i] == p:
+            continue
+        r = p - i
+        while j < n_gaps and gaps[j] - j <= r:
+            j += 1
+        out.append(r + j)
+    return out
+
+
+def _merge(base: GapSet, extra: list[int]) -> GapSet:
+    # union of two sorted, disjoint runs; the sort merges the runs in one pass
+    if not extra:
+        return base
+    extra.extend(base)
+    extra.sort()
+    return tuple(extra)
 
 
 def compose(g: CofMap, h: CofMap) -> CofMap:
@@ -127,14 +157,18 @@ def compose(g: CofMap, h: CofMap) -> CofMap:
     truncating the maps: the composite misses a domain point where ``g``
     does or where ``g`` lands on a domain gap of ``h``, and misses an image
     point where ``h`` does or where ``h`` maps a point that ``g`` missed.
+    One pass over the four sorted gap tuples.
     """
-    dom, ran = _compose_gaps(g.dom_gaps, g.ran_gaps, h.dom_gaps, h.ran_gaps)
-    return CofMap(dom, ran)
+    # domain gaps of h that g hits, pulled back through g
+    dom = _merge(g.dom_gaps, _pull(h.dom_gaps, g.ran_gaps, g.dom_gaps))
+    # image gaps of g in dom h, pushed forward through h
+    ran = _merge(h.ran_gaps, _pull(g.ran_gaps, h.dom_gaps, h.ran_gaps))
+    return _trusted(dom, ran)
 
 
 def invert(g: CofMap) -> CofMap:
     """The inverse partial bijection (swap the gap sets)."""
-    return CofMap(g.ran_gaps, g.dom_gaps)
+    return _trusted(g.ran_gaps, g.dom_gaps)
 
 
 def is_idempotent(g: CofMap) -> bool:
@@ -193,7 +227,7 @@ def tail_identity(k: int) -> CofMap:
     if k < 1:
         raise ValueError("tail start must be a positive integer")
     gaps = tuple(range(1, k))
-    return CofMap(gaps, gaps)
+    return _trusted(gaps, gaps)
 
 
 def natural_leq(e: CofMap, f: CofMap) -> bool:
@@ -207,9 +241,16 @@ def canonical_leq(a: CofMap, b: CofMap) -> bool:
     """Restriction order: ``a <= b`` iff ``a`` equals ``b`` cut down to dom a.
 
     Equivalently ``a == b * (a.inverse() * a)``, i.e. ``a`` arises from ``b``
-    by multiplying with an idempotent on the right.
+    by multiplying with an idempotent on the right.  Decided from the gap
+    sets in one pass: dom a must sit inside dom b, and the image of ``a``
+    must miss exactly what ``b`` misses plus the ``b``-images of the points
+    that dom a drops.
     """
-    return compose(b, compose(invert(a), a)) == a
+    dropped = _pull(a.dom_gaps, b.dom_gaps, b.ran_gaps)
+    # every domain gap of b is one of a's iff all but len(b.dom_gaps) were dropped
+    if len(dropped) != len(a.dom_gaps) - len(b.dom_gaps):
+        return False
+    return a.ran_gaps == _merge(b.ran_gaps, dropped)
 
 
 def up_set(e: CofMap) -> list[CofMap]:
@@ -222,7 +263,7 @@ def up_set(e: CofMap) -> list[CofMap]:
     out = []
     for k in range(len(e.dom_gaps) + 1):
         for sub in combinations(e.dom_gaps, k):
-            out.append(CofMap(sub, sub))
+            out.append(_trusted(sub, sub))
     out.sort(key=lambda m: m.dom_gaps)
     return out
 

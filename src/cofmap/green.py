@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .core import (
     CofMap,
+    _trusted,
     evaluate,
     invert,
     require_idempotent,
@@ -48,7 +49,7 @@ def connect_idempotents(e: CofMap, i: CofMap) -> CofMap:
     """
     require_idempotent(e)
     require_idempotent(i)
-    return CofMap(e.dom_gaps, i.dom_gaps)
+    return _trusted(e.dom_gaps, i.dom_gaps)
 
 
 def simplicity_witness(a: CofMap, b: CofMap) -> tuple[CofMap, CofMap]:
@@ -57,7 +58,7 @@ def simplicity_witness(a: CofMap, b: CofMap) -> tuple[CofMap, CofMap]:
     ``g`` carries dom b onto dom a and ``d`` carries the image of ``a``
     onto the image of ``b``; their existence makes the monoid simple.
     """
-    return CofMap(b.dom_gaps, a.dom_gaps), CofMap(a.ran_gaps, b.ran_gaps)
+    return _trusted(b.dom_gaps, a.dom_gaps), _trusted(a.ran_gaps, b.ran_gaps)
 
 
 def semilattice_iso(e: CofMap) -> tuple:
@@ -118,42 +119,36 @@ def solve_left(a: CofMap, b: CofMap) -> SolutionSet:
 
 
 def _right_solutions(a: CofMap, b: CofMap) -> list[CofMap]:
-    if not set(b.dom_gaps) >= set(a.dom_gaps):
+    a_dom = set(a.dom_gaps)
+    if not set(b.dom_gaps) >= a_dom:
         return []  # dom b must sit inside dom a
 
     a_inv = invert(a)
     # points of the image of a whose preimage leaves dom b: barred from dom x
-    barred = {evaluate(a, x) for x in b.dom_gaps if x not in set(a.dom_gaps)}
+    barred = {evaluate(a, x) for x in b.dom_gaps if x not in a_dom}
     # points missed by a entirely: free to enter dom x
     optional = set(a.ran_gaps)
+    b_ran = set(b.ran_gaps)
+
+    images = {}
 
     def forced_image(z):
-        # x is pinned on z = a(y) with y in dom b: it must send z to b(y)
-        return evaluate(b, evaluate(a_inv, z))
+        # x is pinned on z = a(y) with y in dom b: it must send z to b(y).
+        # Only forced points next to an optional one are asked for, once per
+        # search path, so each image is computed once and then looked up.
+        v = images.get(z)
+        if v is None:
+            v = images[z] = evaluate(b, evaluate(a_inv, z))
+        return v
 
     horizon = max(barred | optional, default=0) + 1
-    solutions = []
 
     def build(picks):
         picked_points = {p for p, _ in picks}
         picked_images = {v for _, v in picks}
         dom_gaps = sorted((optional - picked_points) | barred)
-        ran_gaps = sorted(set(b.ran_gaps) - picked_images)
-        solutions.append(CofMap(tuple(dom_gaps), tuple(ran_gaps)))
-
-    def explore(p, prev_img, picks):
-        if p > horizon:
-            build(picks)
-            return
-        if p in barred:
-            explore(p + 1, prev_img, picks)
-        elif p in optional:
-            explore(p + 1, prev_img, picks)  # leave p out of dom x
-            upper = forced_image(_next_forced(p))
-            for v in range(prev_img + 1, upper):
-                explore(p + 1, v, picks + [(p, v)])
-        else:
-            explore(p + 1, forced_image(p), picks)
+        ran_gaps = sorted(b_ran - picked_images)
+        return _trusted(tuple(dom_gaps), tuple(ran_gaps))
 
     def _next_forced(p):
         q = p + 1
@@ -161,6 +156,28 @@ def _right_solutions(a: CofMap, b: CofMap) -> list[CofMap]:
             q += 1
         return q
 
-    explore(1, 0, [])
+    # Depth-first search over (point, image of the last point in dom x,
+    # picks so far) with an explicit stack: barred and forced points are
+    # walked in place and only optional points branch, so neither the stack
+    # of the interpreter nor a reference cycle holds the solutions.
+    solutions = []
+    pending = [(1, 0, ())]
+    while pending:
+        p, prev_img, picks = pending.pop()
+        last_forced = None
+        while p <= horizon and p not in optional:
+            if p not in barred:
+                last_forced = p
+            p += 1
+        if last_forced is not None:
+            prev_img = forced_image(last_forced)
+        if p > horizon:
+            solutions.append(build(picks))
+            continue
+        pending.append((p + 1, prev_img, picks))  # leave p out of dom x
+        upper = forced_image(_next_forced(p))
+        for v in range(prev_img + 1, upper):
+            pending.append((p + 1, v, picks + ((p, v),)))
+
     solutions.sort(key=lambda m: (m.dom_gaps, m.ran_gaps))
     return solutions

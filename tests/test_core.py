@@ -1,5 +1,7 @@
 """Core algebra: construction, evaluation, composition, inverses, orders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,62 @@ gap_sets = st.frozensets(st.integers(min_value=1, max_value=30), max_size=10).ma
 )
 cofmaps = st.builds(CofMap, gap_sets, gap_sets)
 idempotents = gap_sets.map(lambda g: CofMap(g, g))
+
+
+def sample_gaps(rng, k, hi, lo=1):
+    return tuple(sorted(rng.sample(range(lo, hi + 1), k)))
+
+
+def wide_window(*maps):
+    """(n, slack, upto) for helpers.two_row on the given maps.
+
+    ``upto`` lies past every gap and every shift threshold, and far enough
+    out that two maps built from these differ below it if they differ at
+    all.  A point ``x <= upto`` maps to at most ``upto`` plus an image gap
+    count, which the window ``n`` still covers, so every truncated oracle
+    is exact up to ``upto``, also after composing two of them.
+    """
+    top = max((q for m in maps for q in m.dom_gaps + m.ran_gaps), default=0)
+    count = max((len(m.dom_gaps) + len(m.ran_gaps) for m in maps), default=0)
+    upto = top + 2 * count + 2
+    return upto + 2 * count + 100, count + 10, upto
+
+
+def oracle_map(g, n, slack):
+    return helpers.two_row(g.dom_gaps, g.ran_gaps, n=n, slack=slack)
+
+
+def oracle_restricts(a, b):
+    """The definition ``b * (a^-1 * a) == a``, composed pointwise."""
+    n, slack, upto = wide_window(a, b)
+    am, bm = oracle_map(a, n, slack), oracle_map(b, n, slack)
+    onto_image = helpers.two_row_compose({v: x for x, v in am.items()}, am)
+    want = helpers.two_row_compose(bm, onto_image)
+    return all(want.get(x) == am.get(x) for x in range(1, upto + 1))
+
+
+def wide_pairs():
+    """(shape, g, h) with 1,000 to 2,000 gaps a side, seeded."""
+    rng = random.Random(2011)
+    k, hi = 1000, 4000
+    pts = sample_gaps(rng, 2 * k, 2 * hi)
+    g_ran, h_dom = pts[::2], pts[1::2]
+    seg = tuple(range(1, k + 1))
+    big = (sample_gaps(rng, 2000, 8000), sample_gaps(rng, 2000, 8000))
+    tiny = (sample_gaps(rng, 2, 8000), sample_gaps(rng, 2, 8000))
+    return [
+        ("interleaved", CofMap(sample_gaps(rng, k, hi), g_ran), CofMap(h_dom, sample_gaps(rng, k, hi))),
+        ("initial-segments", CofMap(seg, tuple(range(1, 2 * k + 1))), CofMap(seg, seg)),
+        ("disjoint-ranges", CofMap(sample_gaps(rng, k, hi), sample_gaps(rng, k, hi)),
+         CofMap(sample_gaps(rng, k, 2 * hi, hi + 1), sample_gaps(rng, k, 2 * hi, hi + 1))),
+        ("ratio-1000:1", CofMap(*big), CofMap(*tiny)),
+        ("ratio-1:1000", CofMap(*tiny), CofMap(*big)),
+        ("empty-right", CofMap(*big), IDENTITY),
+        ("empty-left", IDENTITY, CofMap(*big)),
+    ]
+
+
+WIDE_PAIRS = wide_pairs()
 
 
 class TestConstruction:
@@ -76,6 +134,16 @@ class TestEvaluate:
         oracle = helpers.two_row(g.dom_gaps, g.ran_gaps)
         assert evaluate(g, n) == oracle.get(n)
 
+    def test_wide_map_matches_two_row_oracle(self):
+        rng = random.Random(7)
+        g = CofMap(sample_gaps(rng, 2000, 8000), sample_gaps(rng, 1500, 8000))
+        n, slack, upto = wide_window(g)
+        forward = oracle_map(g, n, slack)
+        backward = {v: x for x, v in forward.items()}
+        for x in range(1, upto + 1):
+            assert evaluate(g, x) == forward.get(x)
+            assert preimage(g, x) == backward.get(x)
+
     @given(cofmaps, st.integers(min_value=1, max_value=120))
     def test_preimage_inverts_evaluate(self, g, n):
         y = evaluate(g, n)
@@ -102,6 +170,27 @@ class TestCompose:
         got = compose(g, h)
         for x in range(1, 150):
             assert evaluate(got, x) == want.get(x)
+
+    @pytest.mark.parametrize("shape,g,h", WIDE_PAIRS, ids=[p[0] for p in WIDE_PAIRS])
+    def test_wide_matches_pointwise_oracle(self, shape, g, h):
+        n, slack, upto = wide_window(g, h)
+        want = helpers.two_row_compose(oracle_map(g, n, slack), oracle_map(h, n, slack))
+        got = compose(g, h)
+        for x in range(1, upto + 1):
+            assert evaluate(got, x) == want.get(x)
+
+    @pytest.mark.parametrize("shape,g,h", WIDE_PAIRS, ids=[p[0] for p in WIDE_PAIRS])
+    def test_results_equal_validated_construction(self, shape, g, h):
+        for got in (compose(g, h), compose(h, g), invert(g)):
+            built = CofMap(got.dom_gaps, got.ran_gaps)
+            assert type(got.dom_gaps) is tuple and type(got.ran_gaps) is tuple
+            assert got == built and hash(got) == hash(built)
+
+    @given(cofmaps, cofmaps)
+    def test_results_equal_validated_construction_small(self, g, h):
+        for got in (compose(g, h), invert(g)):
+            built = CofMap(got.dom_gaps, got.ran_gaps)
+            assert got == built and hash(got) == hash(built)
 
     @given(cofmaps, cofmaps, cofmaps)
     def test_associative(self, a, b, c):
@@ -259,6 +348,31 @@ class TestCanonicalOrder:
         for x in range(1, 60):
             if x not in a.dom_gaps:
                 assert evaluate(a, x) == evaluate(b, x)
+
+    @given(cofmaps, cofmaps)
+    def test_matches_definition(self, a, b):
+        want = oracle_restricts(a, b)
+        assert want == (compose(b, compose(invert(a), a)) == a)
+        assert canonical_leq(a, b) == want
+
+    @given(cofmaps, idempotents, st.integers(min_value=1, max_value=40))
+    def test_perturbed_restrictions(self, b, e, q):
+        # toggling one image gap of a restriction mostly breaks the order
+        a = compose(b, e)
+        ran = set(a.ran_gaps) ^ {q}
+        for c in (a, CofMap(a.dom_gaps, tuple(sorted(ran)))):
+            assert canonical_leq(c, b) == oracle_restricts(c, b)
+
+    def test_wide_pairs(self):
+        rng = random.Random(11)
+        b = CofMap(sample_gaps(rng, 1000, 4000), sample_gaps(rng, 1000, 4000))
+        a = compose(b, CofMap(*[sample_gaps(rng, 1000, 4000)] * 2))
+        moved = CofMap(a.dom_gaps, a.ran_gaps[:-1] + (a.ran_gaps[-1] + 1,))
+        unrelated = CofMap(sample_gaps(rng, 1500, 4000), sample_gaps(rng, 1500, 4000))
+        cases = [(a, b, True), (b, b, True), (moved, b, False), (unrelated, b, False), (b, a, False)]
+        for x, y, want in cases:
+            assert oracle_restricts(x, y) == want
+            assert canonical_leq(x, y) == want
 
     @given(cofmaps, cofmaps)
     def test_implies_equal_shift(self, a, b):

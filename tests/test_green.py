@@ -158,6 +158,13 @@ class TestSolve:
         # mirror condition on images for the left equation
         assert solve_left(UP, IDENTITY).solutions == ()
 
+    def test_far_single_gap(self):
+        # one optional point far out: the search must not take a stack frame
+        # per point below it
+        far = CofMap((), (1000,))
+        assert solve_right(far, far).solutions == (IDENTITY, CofMap((1000,), (1000,)))
+        assert solve_left(invert(far), invert(far)).solutions == (IDENTITY, CofMap((1000,), (1000,)))
+
     @settings(max_examples=60, deadline=None)
     @given(tiny_maps, tiny_maps)
     def test_right_matches_exhaustive(self, a, b):
