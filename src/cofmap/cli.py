@@ -17,15 +17,22 @@ first; this is the opposite of the classical function-composition order.
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
 absorbs maps.  Integers and the zero do not mix with each other.
+
+Limits: product chains and runs of primes may be of any length, but
+parentheses nest at most ``MAX_NESTING`` (100) deep; deeper input is a
+parse error with a span.  ``upset`` lists 2**n idempotents for an
+idempotent with n gaps, so it refuses more than ``UPSET_MAX_GAPS`` (16).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .bicyclic import (
     Bicyclic,
@@ -46,6 +53,7 @@ from .core import (
     gapset,
     invert,
     natural_leq,
+    require_idempotent,
     shift,
     shift_threshold,
     to_dict,
@@ -62,9 +70,16 @@ from .extensions import (
     zero_mul,
     zero_stability_bound,
 )
-from .green import connect_idempotents, simplicity_witness, solve_left, solve_right
+from .green import (
+    SolutionSet, connect_idempotents, green_d, green_h, green_l, green_r,
+    simplicity_witness, solve_left, solve_right,
+)
 
 OUTPUT_MODE_ENV = "COFMAP_OUTPUT"  # set to "json" to default to --json
+# parsing and evaluation recurse once per level of parentheses, so this
+# keeps them far inside the interpreter's recursion limit
+MAX_NESTING = 100
+UPSET_MAX_GAPS = 16  # 2**16 idempotents; 30 gaps would build 2**30 maps
 
 
 class ParseError(ValueError):
@@ -97,8 +112,7 @@ class Inv:
 
 @dataclass(frozen=True)
 class Mul:
-    left: object
-    right: object
+    factors: tuple  # two or more terms, multiplied left to right
     span: tuple
 
 
@@ -106,6 +120,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -144,12 +159,13 @@ def parse(text: str):
 
 
 def _parse_expr(sc: _Scanner):
-    node = _parse_term(sc)
+    terms = [_parse_term(sc)]
     while sc.peek() == "*":
         sc.take("*")
-        right = _parse_term(sc)
-        node = Mul(node, right, (node.span[0], right.span[1]))
-    return node
+        terms.append(_parse_term(sc))
+    if len(terms) == 1:
+        return terms[0]
+    return Mul(tuple(terms), (terms[0].span[0], terms[-1].span[1]))
 
 
 def _parse_term(sc: _Scanner):
@@ -157,10 +173,8 @@ def _parse_term(sc: _Scanner):
     while sc.peek() == "'":
         start = sc.pos
         sc.take("'")
-        span = (start, sc.pos)
-        if isinstance(node, Lit) and isinstance(node.value, (int, AdjoinedZero)) \
-                and not isinstance(node.value, CofMap):
-            raise ParseError("integers and the zero have no inverse", span)
+        if isinstance(node, Lit) and isinstance(node.value, (int, AdjoinedZero)):
+            raise ParseError("integers and the zero have no inverse", (start, sc.pos))
         node = Inv(node, (node.span[0], sc.pos))
     return node
 
@@ -169,9 +183,13 @@ def _parse_atom(sc: _Scanner):
     ch = sc.peek()
     start = sc.pos
     if ch == "(":
+        if sc.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", (start, start + 1))
         sc.take("(")
+        sc.depth += 1
         node = _parse_expr(sc)
         sc.take(")")
+        sc.depth -= 1
         return node
     if ch == "m":
         sc.pos += 1
@@ -221,31 +239,53 @@ def _parse_gaps(sc: _Scanner, closer: str) -> tuple:
 
 
 def eval_expr(node):
-    """Evaluate a parsed expression to a canonical element value."""
+    """Evaluate a parsed expression to a canonical element value.
+
+    A run of primes inverts by its parity.  A product chain checks its
+    carriers left to right, so a mismatch is reported where a left fold
+    meets it, then multiplies pairwise, round by round: every carrier is
+    associative, and a left fold of n one-gap maps costs O(n**2) gap steps.
+    Recursion follows only parentheses, which the parser caps.
+    """
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Inv):
-        v = eval_expr(node.child)
-        if isinstance(v, CofMap):
-            return invert(v)
-        if isinstance(v, Bicyclic):
-            return v.inverse()
-        raise ExprTypeError("integers and the zero have no inverse", node.span)
-    v = eval_expr(node.left)
-    w = eval_expr(node.right)
-    return _mul_values(v, w, node.span)
+        primes = 0
+        while isinstance(node, Inv):
+            first, node, primes = node, node.child, primes + 1
+        v = eval_expr(node)
+        if not isinstance(v, (CofMap, Bicyclic)):
+            # ``first`` is the innermost prime, the first inversion applied
+            raise ExprTypeError("integers and the zero have no inverse", first.span)
+        if primes % 2 == 0:
+            return v
+        return invert(v) if isinstance(v, CofMap) else v.inverse()
+    values, carriers = [], set()
+    for term in node.factors:
+        v = eval_expr(term)
+        if isinstance(v, (int, AdjoinedZero)):
+            carriers.add(type(v))
+            if len(carriers) == 2:
+                raise ExprTypeError("integers and the zero belong to different carriers",
+                                    (node.span[0], term.span[1]))
+        values.append(v)
+    while len(values) > 1:
+        paired = [_mul_values(v, w) for v, w in zip(values[::2], values[1::2])]
+        values = paired + values[-1:] if len(values) % 2 else paired
+    return values[0]
 
 
-def _mul_values(v, w, span):
+def _promote(v):
+    """A bicyclic element as its map in the standard copy; others unchanged."""
+    return embed(v) if isinstance(v, Bicyclic) else v
+
+
+def _mul_values(v, w):
+    # eval_expr has already refused a chain that mixes integers and the zero
     if isinstance(v, Bicyclic) and isinstance(w, Bicyclic):
         return v * w
-    if isinstance(v, Bicyclic):
-        v = embed(v)
-    if isinstance(w, Bicyclic):
-        w = embed(w)
+    v, w = _promote(v), _promote(w)
     if isinstance(v, AdjoinedZero) or isinstance(w, AdjoinedZero):
-        if isinstance(v, int) or isinstance(w, int):
-            raise ExprTypeError("integers and the zero belong to different carriers", span)
         return zero_mul(v, w)
     if isinstance(v, int) or isinstance(w, int):
         return adj_mul(v, w)
@@ -288,6 +328,8 @@ def two_row_preview(g: CofMap, k: int) -> list[str]:
     return [f"( {top} ... )", f"( {bot} ... )"]
 
 
+# -- arguments: expression text is evaluated inside main's try --------------
+
 def _expr_arg(text: str):
     if text == "-":
         text = sys.stdin.read()
@@ -295,302 +337,219 @@ def _expr_arg(text: str):
 
 
 def _map_arg(text: str) -> CofMap:
-    v = _expr_arg(text)
-    if isinstance(v, Bicyclic):
-        v = embed(v)
+    v = _promote(_expr_arg(text))
     if not isinstance(v, CofMap):
         raise ValueError(f"expected a map-valued expression, got {render(v)}")
     return v
 
 
-class _Out:
-    """Collects result lines; JSON mode prints one compact document."""
-
-    def __init__(self, args):
-        mode = os.environ.get(OUTPUT_MODE_ENV, "text").strip().lower()
-        self.json = bool(getattr(args, "json", False)) or mode == "json"
-        self.rows = getattr(args, "rows", 0) or 0
-
-    def emit(self, payload, lines):
-        if self.json:
-            print(json.dumps(payload, separators=(",", ":")))
-        else:
-            for line in lines:
-                print(line)
-
-    def element_lines(self, v, label=None):
-        head = f"{label} = {render(v)}" if label else render(v)
-        out = [head]
-        if self.rows and isinstance(v, CofMap):
-            out.extend(two_row_preview(v, self.rows))
-        return out
+ELEM, MAP = _expr_arg, _map_arg
+CHOICE = "choice"  # the argument picks the function from the row's dict
+EXPR, FIRST, SECOND = ("expr", MAP), ("first", MAP), ("second", MAP)
 
 
-def _bool_result(out, flag: bool, extra_lines=(), payload=None):
-    out.emit(payload if payload is not None else flag,
-             [str(flag).lower(), *extra_lines])
-    return 0
+# -- the functions of the commands that have no single library call ---------
 
-
-def cmd_eval(args, out):
-    v = _expr_arg(args.expr)
-    out.emit(value_to_jsonable(v), out.element_lines(v))
-    return 0
-
-
-def cmd_apply(args, out):
-    g = _map_arg(args.expr)
-    if args.point < 1:
+def _apply(g, point):
+    if point < 1:
         raise ValueError("maps act on positive integers")
-    y = evaluate(g, args.point)
-    out.emit(y, ["undefined" if y is None else str(y)])
-    return 0
+    return evaluate(g, point)
 
 
-def cmd_f(args, out):
-    v = _expr_arg(args.expr)
-    if isinstance(v, CofMap):
-        n = shift(v)
-    elif isinstance(v, Bicyclic):
-        n = v.n - v.m
-    elif isinstance(v, int):
-        n = v
-    else:
+def _shift_index(v):
+    if isinstance(v, AdjoinedZero):
         raise ValueError("the zero has no shift index")
-    out.emit(n, [str(n)])
-    return 0
+    if isinstance(v, CofMap):
+        return shift(v)
+    return v.n - v.m if isinstance(v, Bicyclic) else v
 
 
-def cmd_tail(args, out):
-    t = shift_threshold(_map_arg(args.expr))
-    out.emit(t, [str(t)])
-    return 0
+def _upset(e):
+    n = len(require_idempotent(e).dom_gaps)
+    if n > UPSET_MAX_GAPS:
+        raise ValueError(f"upset would list 2**{n} idempotents; at most {UPSET_MAX_GAPS} gaps")
+    return up_set(e)
 
 
-def cmd_green(args, out):
-    a, b = _map_arg(args.first), _map_arg(args.second)
-    rel = {"R": lambda: a.dom_gaps == b.dom_gaps,
-           "L": lambda: a.ran_gaps == b.ran_gaps,
-           "H": lambda: a == b,
-           "D": lambda: True}[args.relation]()
-    return _bool_result(out, rel)
+def _gcong(a, b):
+    return group_congruent(a, b), congruence_witnesses(a, b)
 
 
-def cmd_leq(args, out):
-    a, b = _map_arg(args.first), _map_arg(args.second)
-    res = natural_leq(a, b) if args.order == "nat" else canonical_leq(a, b)
-    return _bool_result(out, res)
-
-
-def cmd_connect(args, out):
-    g = connect_idempotents(_map_arg(args.first), _map_arg(args.second))
-    out.emit(to_dict(g), out.element_lines(g))
-    return 0
-
-
-def cmd_simple_witness(args, out):
-    g, d = simplicity_witness(_map_arg(args.first), _map_arg(args.second))
-    out.emit({"left": to_dict(g), "right": to_dict(d)},
-             out.element_lines(g, "left") + out.element_lines(d, "right"))
-    return 0
-
-
-def cmd_solve(args, out):
-    solver = solve_right if args.side == "right" else solve_left
-    sols = solver(_map_arg(args.factor), _map_arg(args.target))
-    lines = [f"{len(sols.solutions)} solution(s)"]
-    for s in sols.solutions:
-        lines.extend(out.element_lines(s))
-    out.emit(sols.to_dict(), lines)
-    return 0
-
-
-def cmd_upset(args, out):
-    ups = up_set(_map_arg(args.expr))
-    lines = [f"{len(ups)} idempotent(s)"]
-    for e in ups:
-        lines.extend(out.element_lines(e))
-    out.emit([to_dict(e) for e in ups], lines)
-    return 0
-
-
-def cmd_bc_member(args, out):
-    x = as_bicyclic(_map_arg(args.expr))
-    out.emit(None if x is None else x.to_dict(),
-             ["absent" if x is None else render(x)])
-    return 0
-
-
-def cmd_fresh_bicyclic(args, out):
-    unity, up, down = fresh_bicyclic(_map_arg(args.expr))
-    out.emit({"unity": to_dict(unity), "up": to_dict(up), "down": to_dict(down)},
-             out.element_lines(unity, "unity")
-             + out.element_lines(up, "up")
-             + out.element_lines(down, "down"))
-    return 0
-
-
-def cmd_project_c(args, out):
-    mu, eps = tail_projection(_map_arg(args.expr))
-    out.emit({"approximant": to_dict(mu), "idempotent": to_dict(eps)},
-             out.element_lines(mu, "approximant") + out.element_lines(eps, "idempotent"))
-    return 0
-
-
-def cmd_below_c(args, out):
-    e = standard_below(_map_arg(args.expr))
-    out.emit(to_dict(e), out.element_lines(e))
-    return 0
-
-
-def cmd_conj_witness(args, out):
-    eps, left, right = conjugation_witness(_map_arg(args.expr))
-    out.emit({"idempotent": to_dict(eps),
-              "conjugate_left": to_dict(left),
-              "conjugate_right": to_dict(right)},
-             out.element_lines(eps, "idempotent")
-             + out.element_lines(left, "conjugate_left")
-             + out.element_lines(right, "conjugate_right"))
-    return 0
-
-
-def cmd_gcong(args, out):
-    a, b = _map_arg(args.first), _map_arg(args.second)
-    ok = group_congruent(a, b)
-    w = congruence_witnesses(a, b)
-    payload = {"congruent": ok,
-               "left_witness": to_dict(w[0]) if w else None,
-               "right_witness": to_dict(w[1]) if w else None}
-    lines = [str(ok).lower()]
-    if w:
-        lines += out.element_lines(w[0], "left_witness")
-        lines += out.element_lines(w[1], "right_witness")
-    out.emit(payload, lines)
-    return 0
-
-
-def cmd_nbhd_zero(args, out):
-    elem = _expr_arg(args.expr)
-    if isinstance(elem, Bicyclic):
-        elem = embed(elem)
+def _nbhd_zero(depth, elem):
     if isinstance(elem, int):
         raise ValueError("integers are not elements of the zero-adjoined monoid")
-    return _bool_result(out, in_zero_nbhd(args.depth, elem))
+    return in_zero_nbhd(depth, _promote(elem))
 
 
-def cmd_nbhd_adj(args, out):
-    anchor = _map_arg(args.anchor)
-    elem = _expr_arg(args.expr)
-    if isinstance(elem, Bicyclic):
-        elem = embed(elem)
+def _nbhd_adj(point, anchor, elem):
     if isinstance(elem, AdjoinedZero):
         raise ValueError("the zero is not an element of the adjunction semigroup")
-    return _bool_result(out, in_adj_nbhd(args.point, anchor, elem))
+    return in_adj_nbhd(point, anchor, _promote(elem))
 
 
-def cmd_stability(args, out):
+def _stability(depth, a, cases, seed):
     import random
 
-    a = _map_arg(args.expr)
-    j = zero_stability_bound(args.depth, a)
-    bad = sample_zero_stability(args.depth, a, random.Random(args.seed), args.cases)
-    out.emit({"bound": j, "cases": args.cases, "violations": bad},
-             [f"bound = {j}", f"sampled {args.cases} cases, {bad} violation(s)"])
-    return 0 if bad == 0 else 1
+    return SimpleNamespace(bound=zero_stability_bound(depth, a),
+                           failed=sample_zero_stability(depth, a, random.Random(seed), cases))
 
 
-def cmd_selftest(args, out):
+def _selftest(seed, cases):
     from . import selftest  # imported here, not at start-up: only this command needs it
 
-    report = selftest.run_selftest(seed=args.seed, cases=args.cases)
-    payload = {"seed": args.seed, "cases": args.cases,
-               "passed": report.passed, "failed": report.failed,
-               "checks": [{"name": n, "failures": k} for n, k in report.results]}
-    lines = [f"{'PASS' if k == 0 else 'FAIL'}  {n}" + ("" if k == 0 else f"  ({k} failures)")
+    return selftest.run_selftest(seed=seed, cases=cases)
+
+
+# -- output shapes: result, args -> (JSON document, text lines) --------------
+
+def _lines(v, rows, label=None):
+    head = f"{label} = {render(v)}" if label else render(v)
+    return [head, *two_row_preview(v, rows)] if rows and isinstance(v, CofMap) else [head]
+
+
+def _scalar(v, args):
+    """A number, a truth value, or an undefined point."""
+    return v, ["undefined" if v is None else str(v).lower()]
+
+
+def _element(v, args):
+    """One element, or none."""
+    return (None, ["absent"]) if v is None else (value_to_jsonable(v), _lines(v, args.rows))
+
+
+def _labelled(*labels):
+    """A tuple of elements, one per label."""
+    def shape(values, args):
+        return ({k: value_to_jsonable(v) for k, v in zip(labels, values)},
+                [line for k, v in zip(labels, values) for line in _lines(v, args.rows, k)])
+    return shape
+
+
+def _listing(noun):
+    """A count line, then one element per line; JSON lists the elements,
+    or for a solution set gives its equation too."""
+    def shape(v, args):
+        items = v.solutions if isinstance(v, SolutionSet) else v
+        payload = v.to_dict() if isinstance(v, SolutionSet) else [to_dict(e) for e in items]
+        return payload, [f"{len(items)} {noun}", *(s for e in items for s in _lines(e, args.rows))]
+    return shape
+
+
+def _congruence(result, args):
+    ok, witnesses = result
+    labels = ("left_witness", "right_witness")
+    doc, lines = _labelled(*labels)(witnesses, args) if witnesses else (dict.fromkeys(labels), [])
+    return {"congruent": ok, **doc}, [str(ok).lower(), *lines]
+
+
+def _stability_report(r, args):
+    return ({"bound": r.bound, "cases": args.cases, "violations": r.failed},
+            [f"bound = {r.bound}", f"sampled {args.cases} cases, {r.failed} violation(s)"])
+
+
+def _selftest_report(report, args):
+    return ({"seed": args.seed, "cases": args.cases, "passed": report.passed, "failed": report.failed,
+             "checks": [{"name": n, "failures": k} for n, k in report.results]},
+            [f"{'PASS' if k == 0 else 'FAIL'}  {n}" + ("" if k == 0 else f"  ({k} failures)")
              for n, k in report.results]
-    lines.append(f"passed={report.passed} failed={report.failed} "
-                 f"seed={args.seed} cases={args.cases}")
-    out.emit(payload, lines)
-    return 0 if report.failed == 0 else 1
+            + [f"passed={report.passed} failed={report.failed} seed={args.seed} cases={args.cases}"])
 
 
-def _add_common(sp):
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.add_argument("--rows", type=int, default=0, metavar="K",
-                    help="also print the first K mapped points as a two-row table")
+# name -> (help, arguments, function, output shape).  An argument is (name,
+# kind) or (name, kind, default); "--name" is an option.  int is parsed by
+# argparse, but ELEM and MAP text is evaluated in main's try: as an argparse
+# type=, a ParseError (a ValueError) would become a usage error.  CHOICE picks
+# the function from the row's dict; the other arguments reach it in order.
+COMMANDS = {
+    "eval": ("evaluate an expression", [("expr", str)], ELEM, _element),
+    "apply": ("apply a map expression to a point", [EXPR, ("point", int)], _apply, _scalar),
+    "f": ("eventual shift index of an element", [("expr", ELEM)], _shift_index, _scalar),
+    "tail": ("threshold past which the map is a pure shift", [EXPR], shift_threshold, _scalar),
+    "green": ("test a Green relation", [("relation", CHOICE), FIRST, SECOND],
+              {"R": green_r, "L": green_l, "H": green_h, "D": green_d}, _scalar),
+    "leq": ("natural (idempotents) or canonical order", [("order", CHOICE), FIRST, SECOND],
+            {"nat": natural_leq, "canon": canonical_leq}, _scalar),
+    "connect": ("map linking two idempotents", [FIRST, SECOND], connect_idempotents, _element),
+    "simple-witness": ("maps g,d with g*A*d == B", [FIRST, SECOND],
+                       simplicity_witness, _labelled("left", "right")),
+    "solve": ("all x with A*x == B (right) or x*A == B (left)",
+              [("side", CHOICE), ("factor", MAP), ("target", MAP)],
+              {"right": solve_right, "left": solve_left}, _listing("solution(s)")),
+    "upset": ("all idempotents above an idempotent", [EXPR], _upset, _listing("idempotent(s)")),
+    "bc-member": ("normal form in the standard bicyclic copy", [EXPR], as_bicyclic, _element),
+    "fresh-bicyclic": ("bicyclic copy below an idempotent, disjoint from the standard one", [EXPR],
+                       fresh_bicyclic, _labelled("unity", "up", "down")),
+    "project-c": ("standard-copy stand-in and gluing idempotent", [EXPR],
+                  tail_projection, _labelled("approximant", "idempotent")),
+    "below-c": ("standard-copy idempotent below an idempotent", [EXPR], standard_below, _element),
+    "conj-witness": ("idempotent whose conjugates under the map stay standard", [EXPR],
+                     conjugation_witness, _labelled("idempotent", "conjugate_left", "conjugate_right")),
+    "gcong": ("least-group-congruence test with witnesses", [FIRST, SECOND], _gcong, _congruence),
+    "nbhd-zero": ("membership in a basic zero neighborhood", [("depth", int), ("expr", ELEM)],
+                  _nbhd_zero, _scalar),
+    "nbhd-adj": ("membership in a basic integer neighborhood",
+                 [("point", int), ("anchor", MAP), ("expr", ELEM)], _nbhd_adj, _scalar),
+    "stability": ("translation-stability bound for zero neighborhoods",
+                  [("depth", int), EXPR, ("cases", int, 500), ("seed", int, 0)],
+                  _stability, _stability_report),
+    "selftest": ("run the randomized property suite", [("--seed", int, 1), ("--cases", int, 300)],
+                 _selftest, _selftest_report),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of :data:`COMMANDS`, built on the first call only;
+    parsing leaves it unchanged, so every call shares it."""
     p = argparse.ArgumentParser(
         prog="cofmap",
         description="exact calculator for cofinite monotone partial bijections "
                     "(note: g * h applies g first)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, args=()):
+    for name, (help_, arguments, fn, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        for spec in args:
-            sp.add_argument(**spec)
-        _add_common(sp)
-        sp.set_defaults(func=fn)
-        return sp
-
-    expr = {"dest": "expr", "help": "expression ('-' reads stdin)"}
-    add("eval", cmd_eval, "evaluate an expression", [expr])
-    add("apply", cmd_apply, "apply a map expression to a point",
-        [expr, {"dest": "point", "type": int}])
-    add("f", cmd_f, "eventual shift index of an element", [expr])
-    add("tail", cmd_tail, "threshold past which the map is a pure shift", [expr])
-    add("green", cmd_green, "test a Green relation",
-        [{"dest": "relation", "choices": ["R", "L", "H", "D"]},
-         {"dest": "first"}, {"dest": "second"}])
-    add("leq", cmd_leq, "natural (idempotents) or canonical order",
-        [{"dest": "order", "choices": ["nat", "canon"]},
-         {"dest": "first"}, {"dest": "second"}])
-    add("connect", cmd_connect, "map linking two idempotents",
-        [{"dest": "first"}, {"dest": "second"}])
-    add("simple-witness", cmd_simple_witness, "maps g,d with g*A*d == B",
-        [{"dest": "first"}, {"dest": "second"}])
-    add("solve", cmd_solve, "all x with A*x == B (right) or x*A == B (left)",
-        [{"dest": "side", "choices": ["right", "left"]},
-         {"dest": "factor"}, {"dest": "target"}])
-    add("upset", cmd_upset, "all idempotents above an idempotent", [expr])
-    add("bc-member", cmd_bc_member, "normal form in the standard bicyclic copy", [expr])
-    add("fresh-bicyclic", cmd_fresh_bicyclic,
-        "bicyclic copy below an idempotent, disjoint from the standard one", [expr])
-    add("project-c", cmd_project_c, "standard-copy stand-in and gluing idempotent", [expr])
-    add("below-c", cmd_below_c, "standard-copy idempotent below an idempotent", [expr])
-    add("conj-witness", cmd_conj_witness,
-        "idempotent whose conjugates under the map stay standard", [expr])
-    add("gcong", cmd_gcong, "least-group-congruence test with witnesses",
-        [{"dest": "first"}, {"dest": "second"}])
-    add("nbhd-zero", cmd_nbhd_zero, "membership in a basic zero neighborhood",
-        [{"dest": "depth", "type": int}, expr])
-    add("nbhd-adj", cmd_nbhd_adj, "membership in a basic integer neighborhood",
-        [{"dest": "point", "type": int}, {"dest": "anchor"}, expr])
-    add("stability", cmd_stability, "translation-stability bound for zero neighborhoods",
-        [{"dest": "depth", "type": int}, expr,
-         {"dest": "cases", "nargs": "?", "type": int, "default": 500},
-         {"dest": "seed", "nargs": "?", "type": int, "default": 0}])
-    sp = sub.add_parser("selftest", help="run the randomized property suite")
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--cases", type=int, default=300)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_selftest)
+        for dest, kind, *default in arguments:
+            kw = {"help": "expression ('-' reads stdin)"} if dest == "expr" else {}
+            if kind is int:
+                kw["type"] = int
+            elif kind is CHOICE:
+                kw["choices"] = list(fn)
+            if default:
+                kw["default"] = default[0]
+                if not dest.startswith("-"):
+                    kw["nargs"] = "?"
+            sp.add_argument(dest, **kw)
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.add_argument("--rows", type=int, default=0, metavar="K",
+                        help="also print the first K mapped points as a two-row table")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Out(args)
+    _, arguments, fn, shape = COMMANDS[args.command]
     try:
-        return args.func(args, out)
+        values = []
+        for dest, kind, *_ in arguments:
+            text = getattr(args, dest.lstrip("-"))
+            if kind is CHOICE:
+                fn = fn[text]
+            else:
+                values.append(kind(text))
+        result = fn(*values)
+        payload, lines = shape(result, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ExprTypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json or os.environ.get(OUTPUT_MODE_ENV, "text").strip().lower() == "json":
+        print(json.dumps(payload, separators=(",", ":")))
+    else:
+        print(*lines, sep="\n")
+    # only stability and selftest report failures; they exit 1 after printing them
+    return 1 if getattr(result, "failed", 0) else 0
 
 
 if __name__ == "__main__":

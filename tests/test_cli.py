@@ -1,13 +1,15 @@
 """Expression language, rendering, subcommands, and exit codes."""
 
+import functools
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cofmap import Bicyclic, CofMap, IDENTITY, ZERO
+from cofmap import Bicyclic, CofMap, IDENTITY, ZERO, adj_mul, compose, embed, zero_mul
 from cofmap.cli import (
     ExprTypeError,
     ParseError,
@@ -294,3 +296,220 @@ class TestIO:
         b = run_cli("selftest", "--cases", "30", "--json")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# Every subcommand's stdout, byte for byte, as (argv, text, --json, --rows 3).
+GOLDEN = [
+    (["eval", "m[2;1,3]' * b[1,2]"],
+     "m[1,2,3;1,2,3]\n",
+     '{"dom_gaps":[1,2,3],"ran_gaps":[1,2,3]}\n',
+     "m[1,2,3;1,2,3]\n( 4 5 6 ... )\n( 4 5 6 ... )\n"),
+    (["apply", "m[2;1,3] * m[;1]", "3"], "5\n", "5\n", "5\n"),
+    (["f", "b[2,0] * m[1;]"], "-3\n", "-3\n", "-3\n"),
+    (["tail", "m[1,2,3;5]"], "8\n", "8\n", "8\n"),
+    (["green", "L", "m[;1]", "m[1;1]"], "true\n", "true\n", "true\n"),
+    (["leq", "canon", "m[1;1,2]", "m[;1]"], "true\n", "true\n", "true\n"),
+    (["connect", "m[1;1]", "m[2,3;2,3]"],
+     "m[1;2,3]\n",
+     '{"dom_gaps":[1],"ran_gaps":[2,3]}\n',
+     "m[1;2,3]\n( 2 3 4 ... )\n( 1 4 5 ... )\n"),
+    (["simple-witness", "m[1;2]", "m[;1]"],
+     "left = m[;1]\nright = m[2;1]\n",
+     '{"left":{"dom_gaps":[],"ran_gaps":[1]},"right":{"dom_gaps":[2],"ran_gaps":[1]}}\n',
+     "left = m[;1]\n( 1 2 3 ... )\n( 2 3 4 ... )\nright = m[2;1]\n( 1 3 4 ... )\n( 2 3 4 ... )\n"),
+    (["solve", "left", "m[1;]", "m[1,2;]"],
+     "3 solution(s)\nm[1;]\nm[1,2;1]\nm[2;]\n",
+     '{"equation":{"side":"left","factor":{"dom_gaps":[1],"ran_gaps":[]},'
+     '"target":{"dom_gaps":[1,2],"ran_gaps":[]}},"solutions":[{"dom_gaps":[1],"ran_gaps":[]},'
+     '{"dom_gaps":[1,2],"ran_gaps":[1]},{"dom_gaps":[2],"ran_gaps":[]}]}\n',
+     "3 solution(s)\nm[1;]\n( 2 3 4 ... )\n( 1 2 3 ... )\nm[1,2;1]\n( 3 4 5 ... )\n"
+     "( 2 3 4 ... )\nm[2;]\n( 1 3 4 ... )\n( 1 2 3 ... )\n"),
+    (["upset", "m[1,3;1,3]"],
+     "4 idempotent(s)\nm[;]\nm[1;1]\nm[1,3;1,3]\nm[3;3]\n",
+     '[{"dom_gaps":[],"ran_gaps":[]},{"dom_gaps":[1],"ran_gaps":[1]},'
+     '{"dom_gaps":[1,3],"ran_gaps":[1,3]},{"dom_gaps":[3],"ran_gaps":[3]}]\n',
+     "4 idempotent(s)\nm[;]\n( 1 2 3 ... )\n( 1 2 3 ... )\nm[1;1]\n( 2 3 4 ... )\n( 2 3 4 ... )\n"
+     "m[1,3;1,3]\n( 2 4 5 ... )\n( 2 4 5 ... )\nm[3;3]\n( 1 2 4 ... )\n( 1 2 4 ... )\n"),
+    (["bc-member", "m[1,2;1]"], "b[2,1]\n", '{"m":2,"n":1}\n', "b[2,1]\n"),
+    (["bc-member", "m[2;1]"], "absent\n", "null\n", "absent\n"),
+    (["fresh-bicyclic", "m[2;2]"],
+     "unity = m[1,2,4;1,2,4]\nup = m[1,2,4;1,2,4,5]\ndown = m[1,2,4,5;1,2,4]\n",
+     '{"unity":{"dom_gaps":[1,2,4],"ran_gaps":[1,2,4]},"up":{"dom_gaps":[1,2,4],"ran_gaps":[1,2,4,5]},'
+     '"down":{"dom_gaps":[1,2,4,5],"ran_gaps":[1,2,4]}}\n',
+     "unity = m[1,2,4;1,2,4]\n( 3 5 6 ... )\n( 3 5 6 ... )\nup = m[1,2,4;1,2,4,5]\n( 3 5 6 ... )\n"
+     "( 3 6 7 ... )\ndown = m[1,2,4,5;1,2,4]\n( 3 6 7 ... )\n( 3 5 6 ... )\n"),
+    (["project-c", "m[1,2,3;5]"],
+     "approximant = m[1,2,3,4,5,6,7;1,2,3,4,5]\nidempotent = m[1,2,3,4,5,6,7;1,2,3,4,5,6,7]\n",
+     '{"approximant":{"dom_gaps":[1,2,3,4,5,6,7],"ran_gaps":[1,2,3,4,5]},'
+     '"idempotent":{"dom_gaps":[1,2,3,4,5,6,7],"ran_gaps":[1,2,3,4,5,6,7]}}\n',
+     "approximant = m[1,2,3,4,5,6,7;1,2,3,4,5]\n( 8 9 10 ... )\n( 6 7  8 ... )\n"
+     "idempotent = m[1,2,3,4,5,6,7;1,2,3,4,5,6,7]\n( 8 9 10 ... )\n( 8 9 10 ... )\n"),
+    (["below-c", "m[1,4;1,4]"],
+     "m[1,2,3,4;1,2,3,4]\n",
+     '{"dom_gaps":[1,2,3,4],"ran_gaps":[1,2,3,4]}\n',
+     "m[1,2,3,4;1,2,3,4]\n( 5 6 7 ... )\n( 5 6 7 ... )\n"),
+    (["conj-witness", "m[;1]"],
+     "idempotent = m[1;1]\nconjugate_left = m[;]\nconjugate_right = m[1,2;1,2]\n",
+     '{"idempotent":{"dom_gaps":[1],"ran_gaps":[1]},"conjugate_left":{"dom_gaps":[],"ran_gaps":[]},'
+     '"conjugate_right":{"dom_gaps":[1,2],"ran_gaps":[1,2]}}\n',
+     "idempotent = m[1;1]\n( 2 3 4 ... )\n( 2 3 4 ... )\nconjugate_left = m[;]\n( 1 2 3 ... )\n"
+     "( 1 2 3 ... )\nconjugate_right = m[1,2;1,2]\n( 3 4 5 ... )\n( 3 4 5 ... )\n"),
+    (["gcong", "m[;1]", "m[1;1,2]"],
+     "true\nleft_witness = m[1,2;1,2]\nright_witness = m[1,2;1,2]\n",
+     '{"congruent":true,"left_witness":{"dom_gaps":[1,2],"ran_gaps":[1,2]},'
+     '"right_witness":{"dom_gaps":[1,2],"ran_gaps":[1,2]}}\n',
+     "true\nleft_witness = m[1,2;1,2]\n( 3 4 5 ... )\n( 3 4 5 ... )\n"
+     "right_witness = m[1,2;1,2]\n( 3 4 5 ... )\n( 3 4 5 ... )\n"),
+    (["gcong", "m[;1]", "m[1;]"],
+     "false\n",
+     '{"congruent":false,"left_witness":null,"right_witness":null}\n',
+     "false\n"),
+    (["nbhd-zero", "2", "b[2,2]"], "true\n", "true\n", "true\n"),
+    (["nbhd-adj", "1", "m[;1]", "z[1]"], "true\n", "true\n", "true\n"),
+    (["stability", "3", "m[;1]", "40", "2"],
+     "bound = 4\nsampled 40 cases, 0 violation(s)\n",
+     '{"bound":4,"cases":40,"violations":0}\n',
+     "bound = 4\nsampled 40 cases, 0 violation(s)\n"),
+]
+
+SELFTEST_CHECKS = [
+    "compose agrees with pointwise composition",
+    "composition is associative",
+    "inverse axioms and commuting idempotents",
+    "shift is additive and the tail law holds",
+    "Green relations match their idempotent forms; H is equality",
+    "simplicity witness satisfies g*a*d == b",
+    "connecting map links any two idempotents",
+    "natural order reverses gap inclusion; gap map is a hom",
+    "up-set size is 2**gaps",
+    "canonical order implies equal shift and pointwise restriction",
+    "translation equations match exhaustive search",
+    "bicyclic product matches word rewriting",
+    "fresh bicyclic copy avoids the standard one",
+    "tail projection glues the map to its standard stand-in",
+    "absorbing and dominated standard idempotents",
+    "conjugates of the tail idempotent stay standard",
+    "group congruence is the shift kernel, with working witnesses",
+    "zero and adjunction semigroups are associative",
+    "neighborhood bases filter correctly",
+    "translation keeps zero neighborhoods stable",
+    "expression round-trip through the printer",
+]
+_selftest_text = "".join(f"PASS  {n}\n" for n in SELFTEST_CHECKS) + "passed=21 failed=0 seed=2 cases=5\n"
+GOLDEN.append((
+    ["selftest", "--cases", "5", "--seed", "2"],
+    _selftest_text,
+    '{"seed":2,"cases":5,"passed":21,"failed":0,"checks":['
+    + ",".join('{"name":"%s","failures":0}' % n for n in SELFTEST_CHECKS) + "]}\n",
+    _selftest_text,
+))
+
+
+class TestGoldenOutputs:
+    def test_every_subcommand_is_covered(self):
+        from cofmap.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert {argv[0] for argv, *_ in GOLDEN} == set(sub.choices)
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [(argv + flags, want)
+         for argv, *outs in GOLDEN
+         for flags, want in zip(([], ["--json"], ["--rows", "3"]), outs)],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+    )
+    def test_byte_exact(self, capsys, argv, want):
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (want, "")
+
+
+class TestEvalErrorSpans:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(z[1] * z[2])''", "integers and the zero have no inverse (at 1..14)"),
+            ("(z[1] * z[2])'''", "integers and the zero have no inverse (at 1..14)"),
+            ("m[;1] * z[1] * m[;2] * O * z[2]",
+             "integers and the zero belong to different carriers (at 0..24)"),
+            ("O * (z[1]*m[;1])", "integers and the zero belong to different carriers (at 0..15)"),
+            ("z[1] * O * (z[1] * O)", "integers and the zero belong to different carriers (at 0..8)"),
+            ("z[1] * O * (z[1]*z[1])'", "integers and the zero belong to different carriers (at 0..8)"),
+            ("(z[1]*z[1])' * z[1] * O", "integers and the zero have no inverse (at 1..12)"),
+            ("b[1,1] * z[1] * b[0,1] * O",
+             "integers and the zero belong to different carriers (at 0..26)"),
+        ],
+    )
+    def test_first_error_left_to_right(self, text, message):
+        with pytest.raises(ExprTypeError) as err:
+            eval_expr(parse(text))
+        assert str(err.value) == message
+
+
+class TestDeepInput:
+    def test_long_product(self, capsys):
+        n = 3000
+        assert main(["eval", "*".join(["m[;1]"] * n)]) == 0
+        assert capsys.readouterr().out == render(CofMap((), tuple(range(1, n + 1)))) + "\n"
+
+    @pytest.mark.parametrize("primes,want", [(3000, "m[2;1]\n"), (2001, "m[1;2]\n")])
+    def test_long_run_of_primes(self, capsys, primes, want):
+        assert main(["eval", "m[2;1]" + "'" * primes]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_deep_parentheses_are_a_parse_error(self, capsys):
+        assert main(["eval", "(" * 2000 + "m[;1]" + ")" * 2000]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert re.fullmatch(r"parse error: .*\(at \d+\.\.\d+\)\n", out.err)
+
+    def test_nesting_limit(self):
+        from cofmap.cli import MAX_NESTING
+
+        inner = "m[;1] * " + "(" * (MAX_NESTING - 1) + "m[;1]'" + ")" * (MAX_NESTING - 1)
+        assert eval_expr(parse("(" + inner + ")")) == IDENTITY
+        with pytest.raises(ParseError) as err:
+            parse("((" + inner + "))")
+        assert err.value.span == (MAX_NESTING + 8, MAX_NESTING + 9)  # the 101st "("
+
+
+def reference_mul(v, w):
+    if isinstance(v, Bicyclic) and isinstance(w, Bicyclic):
+        return v * w
+    v, w = (embed(x) if isinstance(x, Bicyclic) else x for x in (v, w))
+    if v is ZERO or w is ZERO:
+        return zero_mul(v, w)
+    if isinstance(v, int) or isinstance(w, int):
+        return adj_mul(v, w)
+    return compose(v, w)
+
+
+primed_values = mixed_values.flatmap(
+    lambda v: st.tuples(st.just(v), st.integers(0, 3) if isinstance(v, (CofMap, Bicyclic)) else st.just(0))
+)
+
+
+class TestChains:
+    @given(st.lists(primed_values, min_size=1, max_size=40))
+    def test_random_chain_is_the_left_fold(self, chain):
+        text = " * ".join(render(v) + "'" * k for v, k in chain)
+        values = [v if k % 2 == 0 else v.inverse() for v, k in chain]
+        if any(isinstance(v, int) for v in values) and any(v is ZERO for v in values):
+            with pytest.raises(ExprTypeError):
+                eval_expr(parse(text))
+        else:
+            assert eval_expr(parse(text)) == functools.reduce(reference_mul, values)
+
+
+class TestUpsetLimit:
+    def test_refuses_more_than_sixteen_gaps(self, capsys):
+        gaps = ",".join(map(str, range(1, 18)))
+        assert main(["upset", f"m[{gaps};{gaps}]"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and "16" in out.err
+
+    def test_non_idempotents_are_still_refused_as_such(self, capsys):
+        gaps = ",".join(map(str, range(1, 18)))
+        assert main(["upset", f"m[{gaps};]"]) == 1
+        assert "not an idempotent" in capsys.readouterr().err
