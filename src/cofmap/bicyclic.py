@@ -18,6 +18,7 @@ from .core import (
     _trusted,
     compose,
     dom_tail_start,
+    initial_segment,
     invert,
     require_idempotent,
     shift,
@@ -68,7 +69,7 @@ def embed(x: Bicyclic) -> CofMap:
     An injective homomorphism; its image is recognized by
     :func:`as_bicyclic`.
     """
-    return _trusted(tuple(range(1, x.m + 1)), tuple(range(1, x.n + 1)))
+    return _trusted(initial_segment(x.m), initial_segment(x.n))
 
 
 def as_bicyclic(g: CofMap) -> Bicyclic | None:
@@ -98,10 +99,11 @@ def fresh_bicyclic(e: CofMap) -> tuple[CofMap, CofMap, CofMap]:
     """
     require_idempotent(e)
     anchor = tail_start(e) + 1
-    base = tuple(q for q in range(1, anchor + 1) if q != anchor - 1)
-    raised = tuple(q for q in range(1, anchor + 2) if q != anchor - 1)
-    up = CofMap(base, raised)
-    return CofMap(base, base), up, invert(up)
+    # {1..anchor} and {1..anchor+1}, each without anchor - 1
+    base = initial_segment(anchor - 2) + (anchor,)
+    raised = base + (anchor + 1,)
+    up = _trusted(base, raised)
+    return _trusted(base, base), up, invert(up)
 
 
 def tail_projection(g: CofMap) -> tuple[CofMap, CofMap]:
@@ -113,7 +115,7 @@ def tail_projection(g: CofMap) -> tuple[CofMap, CofMap]:
     """
     t = shift_threshold(g)
     f = shift(g)
-    mu = _trusted(tuple(range(1, t)), tuple(range(1, t + f)))
+    mu = _trusted(initial_segment(t - 1), initial_segment(t + f - 1))
     eps = tail_identity(t + max(0, f))
     return mu, eps
 

@@ -21,7 +21,11 @@ absorbs maps.  Integers and the zero do not mix with each other.
 Limits: product chains and runs of primes may be of any length, but
 parentheses nest at most ``MAX_NESTING`` (100) deep; deeper input is a
 parse error with a span.  ``upset`` lists 2**n idempotents for an
-idempotent with n gaps, so it refuses more than ``UPSET_MAX_GAPS`` (16).
+idempotent with n gaps, so it refuses more than ``UPSET_MAX_GAPS`` (16)
+unless ``--count`` or ``--limit`` asks for less than the whole list.
+``solve`` and ``upset`` take ``--count`` (print the number of members
+only) and ``--limit N`` (print the first N members in order).  ``--rows``
+is at most ``MAX_ROWS``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from types import SimpleNamespace
 
 from .bicyclic import (
@@ -52,12 +57,11 @@ from .core import (
     evaluate,
     gapset,
     invert,
+    iter_up_set,
     natural_leq,
-    require_idempotent,
     shift,
     shift_threshold,
     to_dict,
-    up_set,
 )
 from .extensions import (
     ZERO,
@@ -80,6 +84,7 @@ OUTPUT_MODE_ENV = "COFMAP_OUTPUT"  # set to "json" to default to --json
 # keeps them far inside the interpreter's recursion limit
 MAX_NESTING = 100
 UPSET_MAX_GAPS = 16  # 2**16 idempotents; 30 gaps would build 2**30 maps
+MAX_ROWS = 1000  # columns of a --rows preview
 
 
 class ParseError(ValueError):
@@ -365,10 +370,7 @@ def _shift_index(v):
 
 
 def _upset(e):
-    n = len(require_idempotent(e).dom_gaps)
-    if n > UPSET_MAX_GAPS:
-        raise ValueError(f"upset would list 2**{n} idempotents; at most {UPSET_MAX_GAPS} gaps")
-    return up_set(e)
+    return 2 ** len(e.dom_gaps), iter_up_set(e)
 
 
 def _gcong(a, b):
@@ -400,7 +402,8 @@ def _selftest(seed, cases):
     return selftest.run_selftest(seed=seed, cases=cases)
 
 
-# -- output shapes: result, args -> (JSON document, text lines) --------------
+# -- output shapes: result, args -> the JSON document if args.json, else the
+# text lines; only the form that is printed is built ------------------------
 
 def _lines(v, rows, label=None):
     head = f"{label} = {render(v)}" if label else render(v)
@@ -409,48 +412,73 @@ def _lines(v, rows, label=None):
 
 def _scalar(v, args):
     """A number, a truth value, or an undefined point."""
-    return v, ["undefined" if v is None else str(v).lower()]
+    return v if args.json else ["undefined" if v is None else str(v).lower()]
 
 
 def _element(v, args):
     """One element, or none."""
-    return (None, ["absent"]) if v is None else (value_to_jsonable(v), _lines(v, args.rows))
+    if args.json:
+        return None if v is None else value_to_jsonable(v)
+    return ["absent"] if v is None else _lines(v, args.rows)
 
 
 def _labelled(*labels):
     """A tuple of elements, one per label."""
     def shape(values, args):
-        return ({k: value_to_jsonable(v) for k, v in zip(labels, values)},
-                [line for k, v in zip(labels, values) for line in _lines(v, args.rows, k)])
+        if args.json:
+            return {k: value_to_jsonable(v) for k, v in zip(labels, values)}
+        return [line for k, v in zip(labels, values) for line in _lines(v, args.rows, k)]
     return shape
 
 
-def _listing(noun):
-    """A count line, then one element per line; JSON lists the elements,
-    or for a solution set gives its equation too."""
-    def shape(v, args):
-        items = v.solutions if isinstance(v, SolutionSet) else v
-        payload = v.to_dict() if isinstance(v, SolutionSet) else [to_dict(e) for e in items]
-        return payload, [f"{len(items)} {noun}", *(s for e in items for s in _lines(e, args.rows))]
-    return shape
+class _Listing:
+    """A count line, then one element per line; JSON lists the elements, or
+    for a solution set gives its equation too.  The result is a
+    :class:`SolutionSet` or a ``(count, members)`` pair, members in order;
+    only ``--limit`` of them are taken, and ``--count`` prints the count
+    alone.  With ``max_gaps`` set, the members are the 2**n subsets of n
+    gaps, and the whole list is refused for n > max_gaps."""
+
+    def __init__(self, noun, max_gaps=None):
+        self.noun, self.max_gaps = noun, max_gaps
+
+    def __call__(self, v, args):
+        solutions = isinstance(v, SolutionSet)
+        count, members = (v.count, v) if solutions else v
+        if args.count:
+            return _scalar(count, args)
+        if args.limit is None and self.max_gaps is not None and count > 2 ** self.max_gaps:
+            raise ValueError(f"{args.command} would list {count} {self.noun}; at most "
+                             f"{self.max_gaps} gaps unless --count or --limit is given")
+        if args.json and solutions:
+            return v.to_dict(args.limit)
+        shown = islice(members, args.limit)
+        if args.json:
+            return [to_dict(e) for e in shown]
+        return [f"{count} {self.noun}", *(line for e in shown for line in _lines(e, args.rows))]
 
 
 def _congruence(result, args):
     ok, witnesses = result
     labels = ("left_witness", "right_witness")
-    doc, lines = _labelled(*labels)(witnesses, args) if witnesses else (dict.fromkeys(labels), [])
-    return {"congruent": ok, **doc}, [str(ok).lower(), *lines]
+    if witnesses:
+        shown = _labelled(*labels)(witnesses, args)
+    else:
+        shown = dict.fromkeys(labels) if args.json else []
+    return {"congruent": ok, **shown} if args.json else [str(ok).lower(), *shown]
 
 
 def _stability_report(r, args):
-    return ({"bound": r.bound, "cases": args.cases, "violations": r.failed},
-            [f"bound = {r.bound}", f"sampled {args.cases} cases, {r.failed} violation(s)"])
+    if args.json:
+        return {"bound": r.bound, "cases": args.cases, "violations": r.failed}
+    return [f"bound = {r.bound}", f"sampled {args.cases} cases, {r.failed} violation(s)"]
 
 
 def _selftest_report(report, args):
-    return ({"seed": args.seed, "cases": args.cases, "passed": report.passed, "failed": report.failed,
-             "checks": [{"name": n, "failures": k} for n, k in report.results]},
-            [f"{'PASS' if k == 0 else 'FAIL'}  {n}" + ("" if k == 0 else f"  ({k} failures)")
+    if args.json:
+        return {"seed": args.seed, "cases": args.cases, "passed": report.passed, "failed": report.failed,
+                "checks": [{"name": n, "failures": k} for n, k in report.results]}
+    return ([f"{'PASS' if k == 0 else 'FAIL'}  {n}" + ("" if k == 0 else f"  ({k} failures)")
              for n, k in report.results]
             + [f"passed={report.passed} failed={report.failed} seed={args.seed} cases={args.cases}"])
 
@@ -474,8 +502,9 @@ COMMANDS = {
                        simplicity_witness, _labelled("left", "right")),
     "solve": ("all x with A*x == B (right) or x*A == B (left)",
               [("side", CHOICE), ("factor", MAP), ("target", MAP)],
-              {"right": solve_right, "left": solve_left}, _listing("solution(s)")),
-    "upset": ("all idempotents above an idempotent", [EXPR], _upset, _listing("idempotent(s)")),
+              {"right": solve_right, "left": solve_left}, _Listing("solution(s)")),
+    "upset": ("all idempotents above an idempotent", [EXPR], _upset,
+              _Listing("idempotent(s)", UPSET_MAX_GAPS)),
     "bc-member": ("normal form in the standard bicyclic copy", [EXPR], as_bicyclic, _element),
     "fresh-bicyclic": ("bicyclic copy below an idempotent, disjoint from the standard one", [EXPR],
                        fresh_bicyclic, _labelled("unity", "up", "down")),
@@ -506,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact calculator for cofinite monotone partial bijections "
                     "(note: g * h applies g first)")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_, arguments, fn, _) in COMMANDS.items():
+    for name, (help_, arguments, fn, shape) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         for dest, kind, *default in arguments:
             kw = {"help": "expression ('-' reads stdin)"} if dest == "expr" else {}
@@ -520,13 +549,29 @@ def build_parser() -> argparse.ArgumentParser:
                     kw["nargs"] = "?"
             sp.add_argument(dest, **kw)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--rows", type=int, default=0, metavar="K",
+        sp.add_argument("--rows", type=_bounded(MAX_ROWS), default=0, metavar="K",
                         help="also print the first K mapped points as a two-row table")
+        if isinstance(shape, _Listing):
+            sp.add_argument("--count", action="store_true", help="print only the number of members")
+            sp.add_argument("--limit", type=_bounded(None), metavar="N",
+                            help="print only the first N members, in order")
     return p
+
+
+def _bounded(most):
+    """argparse type: an int in [0, most] (no upper bound for None)."""
+    def count(text):
+        n = int(text)
+        if n < 0 or (most is not None and n > most):
+            raise argparse.ArgumentTypeError(
+                f"must be between 0 and {most}" if most is not None else "must not be negative")
+        return n
+    return count
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.json = args.json or os.environ.get(OUTPUT_MODE_ENV, "text").strip().lower() == "json"
     _, arguments, fn, shape = COMMANDS[args.command]
     try:
         values = []
@@ -537,17 +582,17 @@ def main(argv=None) -> int:
             else:
                 values.append(kind(text))
         result = fn(*values)
-        payload, lines = shape(result, args)
+        output = shape(result, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json or os.environ.get(OUTPUT_MODE_ENV, "text").strip().lower() == "json":
-        print(json.dumps(payload, separators=(",", ":")))
+    if args.json:
+        print(json.dumps(output, separators=(",", ":")))
     else:
-        print(*lines, sep="\n")
+        print(*output, sep="\n")
     # only stability and selftest report failures; they exit 1 after printing them
     return 1 if getattr(result, "failed", 0) else 0
 

@@ -9,7 +9,9 @@ here is exact integer arithmetic on short sorted tuples.
 
 Costs, for maps with n gaps in all: ``compose`` and ``canonical_leq`` take
 one pass over the sorted gap tuples, O(n); ``evaluate`` and ``preimage``
-take a binary search, O(log n).
+take a binary search, O(log n).  Costs follow the number of gaps, never
+their values: the initial segments {1..k} that tail identities and the
+standard copy need are capped at ``MAX_SEGMENT`` points.
 
 Composition is written left to right: ``compose(g, h)`` is ``x -> h(g(x))``
 (apply ``g`` first).  The ``*`` operator on :class:`CofMap` follows the
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 
 GapSet = tuple  # strictly increasing tuple of positive ints
+MAX_SEGMENT = 10**6  # longest initial segment {1..k} built as a gap set
 
 
 def gapset(entries) -> GapSet:
@@ -222,11 +224,22 @@ def shift_threshold(g: CofMap) -> int:
     return max(max_d + 1, max_r - len(g.ran_gaps) + len(g.dom_gaps) + 1)
 
 
+def initial_segment(k: int) -> GapSet:
+    """The gap set {1, 2, ..., k} (empty for k <= 0).
+
+    Raises ValueError past ``MAX_SEGMENT`` points, where the tuple alone
+    would take tens of megabytes.
+    """
+    if k > MAX_SEGMENT:
+        raise ValueError(f"initial segment {{1..{k}}} has more than {MAX_SEGMENT} points")
+    return tuple(range(1, k + 1))
+
+
 def tail_identity(k: int) -> CofMap:
     """The idempotent acting as the identity on {k, k+1, k+2, ...}."""
     if k < 1:
         raise ValueError("tail start must be a positive integer")
-    gaps = tuple(range(1, k))
+    gaps = initial_segment(k - 1)
     return _trusted(gaps, gaps)
 
 
@@ -253,19 +266,61 @@ def canonical_leq(a: CofMap, b: CofMap) -> bool:
     return a.ran_gaps == _merge(b.ran_gaps, dropped)
 
 
-def up_set(e: CofMap) -> list[CofMap]:
-    """All idempotents above ``e`` in the natural order.
+def _ordered_subsets(points: GapSet, required, cap: int):
+    """Walk the subsets of ``points`` that keep every point of ``required``
+    and leave out at most ``cap`` others, in lexicographic order of their
+    sorted tuples (a shorter tuple first where it is a prefix).
+
+    The walk is depth first over the tree of tuple prefixes.  It takes the
+    points that every extension must take in one step, so each node it
+    enters is a subset or has two children or more, and it does
+    O(len(points)) work a subset.  It yields ``(True, s, k)`` on reaching a
+    subset ``s`` that leaves out ``k`` points, and ``(False, s, k)`` after
+    the last subset that extends ``s``: where ``s`` is followed by points
+    greater than all of ``points``, that is its place in the order.
+    """
+    n = len(points)
+    next_required = [n] * (n + 1)  # index of the first required point at or after i
+    for i in range(n - 1, -1, -1):
+        next_required[i] = i if points[i] in required else next_required[i + 1]
+    stack = [(0, (), 0)]  # (index of the next point, prefix, points left out so far)
+    while stack:
+        i, prefix, out = stack.pop()
+        if i < 0:  # every extension of prefix has been yielded
+            yield False, prefix, out
+            continue
+        # take the points that must come next: all of them once cap points
+        # are left out, else the required ones
+        j = n if out == cap else i
+        while j < n and next_required[j] == j:
+            j += 1
+        if j > i:
+            prefix, i = prefix + points[i:j], j
+        stop = next_required[i]
+        if stop == n and out + n - i <= cap:  # prefix is a subset itself
+            yield True, prefix, out + n - i
+            stack.append((-1, prefix, out + n - i))
+        # the next point taken is points[j]; those skipped before it are left out
+        for j in range(min(stop, n - 1, i + cap - out), i - 1, -1):
+            stack.append((j + 1, prefix + (points[j],), out + j - i))
+
+
+def iter_up_set(e: CofMap):
+    """The idempotents above ``e`` in the natural order, one at a time.
 
     These are the identity maps whose gap set is a subset of e's, so there
-    are exactly ``2 ** len(e.dom_gaps)`` of them.  Sorted by gap set.
+    are exactly ``2 ** len(e.dom_gaps)`` of them; they come sorted by gap
+    set.
     """
-    require_idempotent(e)
-    out = []
-    for k in range(len(e.dom_gaps) + 1):
-        for sub in combinations(e.dom_gaps, k):
-            out.append(_trusted(sub, sub))
-    out.sort(key=lambda m: m.dom_gaps)
-    return out
+    gaps = require_idempotent(e).dom_gaps
+    walk = _ordered_subsets(gaps, (), len(gaps))
+    return (_trusted(sub, sub) for reached, sub, _ in walk if reached)
+
+
+def up_set(e: CofMap) -> list[CofMap]:
+    """All idempotents above ``e`` in the natural order, as a list sorted by
+    gap set (see :func:`iter_up_set`)."""
+    return list(iter_up_set(e))
 
 
 def to_dict(g: CofMap) -> dict:

@@ -4,16 +4,29 @@ The monoid is bisimple: the D relation (hence J) is universal, H is
 trivial, and R / L are decided by domains and images alone.  This module
 also solves the one-sided translation equations ``a * x == b`` and
 ``x * a == b`` exactly; both solution sets are always finite.
+
+A solution set is a product of independent blocks, one between each two
+consecutive points where the equation pins ``x`` down; a block with ``o``
+free points and ``g`` free image slots has C(o+g, o) fillings.  Costs, for
+equations with n gaps in all, whatever the values of the gaps:
+``solve_right``/``solve_left`` and the exact ``count`` take O(n) (plus a
+binary search a block) and list nothing; ``x in solutions`` is one
+``compose``; iteration is lazy and does O(n) work a solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from itertools import combinations, islice, repeat
+from math import comb
 
 from .core import (
     CofMap,
+    _merge,
+    _ordered_subsets,
+    _pull,
     _trusted,
-    evaluate,
+    compose,
     invert,
     require_idempotent,
     to_dict,
@@ -71,28 +84,158 @@ def semilattice_iso(e: CofMap) -> tuple:
     return e.dom_gaps
 
 
-@dataclass(frozen=True)
 class SolutionSet:
-    """All solutions of a one-sided translation equation.
+    """All solutions of a one-sided translation equation, held as blocks.
 
     ``side == "right"`` solves ``factor * x == target``; ``side == "left"``
-    solves ``x * factor == target``.  Solutions are listed in lexicographic
-    order of their gap-set pairs; the set may be empty.
+    solves ``x * factor == target``.  The set is a lazy container and is
+    never listed unless iterated:
+
+    - ``count`` is the exact number of solutions, the product of the block
+      sizes; ``len()`` gives the same number but raises OverflowError past
+      ``sys.maxsize``;
+    - ``x in s`` is one composition;
+    - iteration yields the solutions in lexicographic order of their
+      gap-set pairs, O(gaps) work each; the set may be empty.
+
+    ``solutions`` is the set itself.  Two sets are equal when they solve
+    the same equation, since the equation fixes the members.
     """
 
-    solutions: tuple[CofMap, ...]
-    side: str
-    factor: CofMap
-    target: CofMap
+    __slots__ = ("side", "factor", "target", "count", "_head", "_blocks")
 
-    def to_dict(self) -> dict:
+    def __init__(self, side: str, factor: CofMap, target: CofMap):
+        self.side, self.factor, self.target = side, factor, target
+        if side == "right":
+            found = _right_blocks(factor, target)
+        else:  # x * a == b iff a^-1 * x^-1 == b^-1: the inverses of the mirror's solutions
+            found = _right_blocks(invert(factor), invert(target))
+        self._head, self._blocks, self.count = None, (), 0
+        if found is None:
+            return
+        dom_fixed, ran_fixed, blocks = found
+        if side == "left":  # the mirror's image side is the domain side of x
+            dom_fixed, ran_fixed = ran_fixed, dom_fixed
+        self._head = (dom_fixed[0], ran_fixed[0])
+        self.count = 1
+        # A block's domain side holds the candidate domain gaps, some of them
+        # required, and a solution leaves out k of the others (k <= the free
+        # image slots); the image side then keeps all but k of its free slots.
+        # ends: None if every solution has a domain gap past block i's own
+        # points, else the k of each later block in the one that has none.
+        oriented = []
+        ends = ()
+        for i in range(len(blocks) - 1, -1, -1):
+            run, barred, slots = blocks[i]
+            optional = tuple(p for p in run if p not in barred)
+            self.count *= comb(len(optional) + len(slots), len(slots))
+            if side == "right":
+                dom, required, ran_free, ran_required = run, barred, slots, ()
+            else:
+                dom, required, ran_free, ran_required = slots, (), optional, tuple(sorted(barred))
+            dom_tail, ran_tail = dom_fixed[i + 1], ran_fixed[i + 1]
+            ends = None if dom_tail else ends
+            oriented.append((dom, required, ran_free, ran_required, dom_tail, ran_tail, ends))
+            # block i can leave out all its points if none is required and it
+            # has a free image slot for each
+            if ends is not None and not required and len(dom) <= len(ran_free):
+                ends = (len(dom),) + ends
+            else:
+                ends = None
+        self._blocks = tuple(reversed(oriented))
+
+    @property
+    def solutions(self) -> "SolutionSet":
+        return self
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __bool__(self) -> bool:  # truth without len(), which overflows
+        return self.count > 0
+
+    def __contains__(self, x) -> bool:
+        if not isinstance(x, CofMap):
+            return False
+        product = compose(self.factor, x) if self.side == "right" else compose(x, self.factor)
+        return product == self.target
+
+    def __iter__(self):
+        if self._head is None:
+            return
+        dom_head, ran_head = self._head
+        for dom_gaps, ks in self._doms(0, dom_head, ()):
+            yield from map(_trusted, repeat(dom_gaps), self._rans(ran_head, ks))
+
+    def _doms(self, i, prefix, ks):
+        # (domain gaps, the k of every block) of the solutions whose domain
+        # gaps before block i are ``prefix``, in lexicographic order
+        if i == len(self._blocks):
+            yield prefix, ks
+            return
+        dom, required, ran_free, _, dom_tail, _, ends = self._blocks[i]
+        for reached, sub, k in _ordered_subsets(dom, required, len(ran_free)):
+            if reached:
+                if ends is not None:  # nothing after sub: sub is a prefix of the rest
+                    yield prefix + sub, ks + (k,) + ends
+            else:
+                rest = self._doms(i + 1, prefix + sub + dom_tail, ks + (k,))
+                if ends is not None:
+                    next(rest)  # the empty remainder, yielded on reaching sub
+                yield from rest
+
+    def _rans(self, prefix, ks):
+        # image gaps of the solutions whose blocks leave out ks: block i
+        # keeps all but ks[i] of its free slots, in lexicographic order.  A
+        # block with one way to keep them joins the fixed gaps before it, so
+        # that every level of the walk below has two choices or more and a
+        # solution costs O(gaps), however many blocks there are.
+        levels = []  # [free slots, how many to keep, required gaps, fixed gaps after]
+        for (_, _, free, required, _, tail, _), k in zip(self._blocks, ks):
+            if 0 < k < len(free):
+                levels.append([free, len(free) - k, required, tail])
+                continue
+            kept = free if k == 0 else ()
+            fixed = (tuple(sorted(kept + required)) if required else kept) + tail
+            if levels:
+                levels[-1][3] += fixed
+            else:
+                prefix += fixed
+        return self._kept(levels, 0, prefix) if levels else iter((prefix,))
+
+    def _kept(self, levels, i, prefix):
+        free, keep, required, tail = levels[i]
+        kept = combinations(free, keep)
+        if required:
+            kept = (tuple(sorted(c + required)) for c in kept)
+        if tail:
+            kept = (c + tail for c in kept)
+        if i + 1 == len(levels):
+            yield from map(prefix.__add__, kept)
+            return
+        for c in kept:
+            yield from self._kept(levels, i + 1, prefix + c)
+
+    def __eq__(self, other):
+        if not isinstance(other, SolutionSet):
+            return NotImplemented
+        return (self.side, self.factor, self.target) == (other.side, other.factor, other.target)
+
+    def __hash__(self):
+        return hash((self.side, self.factor, self.target))
+
+    def __repr__(self) -> str:
+        return f"SolutionSet({self.side!r}, {self.factor!r}, {self.target!r}, count={self.count})"
+
+    def to_dict(self, limit: int | None = None) -> dict:
+        """JSON form, listing the first ``limit`` solutions (all by default)."""
         return {
             "equation": {
                 "side": self.side,
                 "factor": to_dict(self.factor),
                 "target": to_dict(self.target),
             },
-            "solutions": [to_dict(s) for s in self.solutions],
+            "solutions": [to_dict(s) for s in islice(self, limit)],
         }
 
 
@@ -104,80 +247,62 @@ def solve_right(a: CofMap, b: CofMap) -> SolutionSet:
     point missed by ``a`` may optionally enter dom x with an image chosen
     from the finite interval between its forced neighbors.
     """
-    return SolutionSet(tuple(_right_solutions(a, b)), "right", a, b)
+    return SolutionSet("right", a, b)
 
 
 def solve_left(a: CofMap, b: CofMap) -> SolutionSet:
     """Every map ``x`` with ``x * a == b``.
 
-    Mirror image of :func:`solve_right`: invert the equation, solve, and
-    invert the solutions back.
+    Mirror image of :func:`solve_right`: the same blocks, built from the
+    inverted equation, with the roles of domain and image swapped.
     """
-    mirror = _right_solutions(invert(a), invert(b))
-    sols = sorted((invert(s) for s in mirror), key=lambda m: (m.dom_gaps, m.ran_gaps))
-    return SolutionSet(tuple(sols), "left", a, b)
+    return SolutionSet("left", a, b)
 
 
-def _right_solutions(a: CofMap, b: CofMap) -> list[CofMap]:
-    a_dom = set(a.dom_gaps)
-    if not set(b.dom_gaps) >= a_dom:
-        return []  # dom b must sit inside dom a
+def _right_blocks(a: CofMap, b: CofMap):
+    """The blocks of ``a * x == b``, or None when it has no solution.
 
-    a_inv = invert(a)
-    # points of the image of a whose preimage leaves dom b: barred from dom x
-    barred = {evaluate(a, x) for x in b.dom_gaps if x not in a_dom}
-    # points missed by a entirely: free to enter dom x
-    optional = set(a.ran_gaps)
-    b_ran = set(b.ran_gaps)
+    A point in the image of ``a`` over dom b is forced: x sends it to the
+    target's value.  One in the image of ``a`` outside dom b is barred from
+    dom x.  One that ``a`` misses is optional.  Between two consecutive
+    forced points, the optional points and the image gaps of ``b`` between
+    the forced images (the free slots) make a block: a solution matches
+    k of the optional points with k of the slots, in order.
 
-    images = {}
-
-    def forced_image(z):
-        # x is pinned on z = a(y) with y in dom b: it must send z to b(y).
-        # Only forced points next to an optional one are asked for, once per
-        # search path, so each image is computed once and then looked up.
-        v = images.get(z)
-        if v is None:
-            v = images[z] = evaluate(b, evaluate(a_inv, z))
-        return v
-
-    horizon = max(barred | optional, default=0) + 1
-
-    def build(picks):
-        picked_points = {p for p, _ in picks}
-        picked_images = {v for _, v in picks}
-        dom_gaps = sorted((optional - picked_points) | barred)
-        ran_gaps = sorted(b_ran - picked_images)
-        return _trusted(tuple(dom_gaps), tuple(ran_gaps))
-
-    def _next_forced(p):
-        q = p + 1
-        while q in barred or q in optional:
-            q += 1
-        return q
-
-    # Depth-first search over (point, image of the last point in dom x,
-    # picks so far) with an explicit stack: barred and forced points are
-    # walked in place and only optional points branch, so neither the stack
-    # of the interpreter nor a reference cycle holds the solutions.
-    solutions = []
-    pending = [(1, 0, ())]
-    while pending:
-        p, prev_img, picks = pending.pop()
-        last_forced = None
-        while p <= horizon and p not in optional:
-            if p not in barred:
-                last_forced = p
-            p += 1
-        if last_forced is not None:
-            prev_img = forced_image(last_forced)
-        if p > horizon:
-            solutions.append(build(picks))
-            continue
-        pending.append((p + 1, prev_img, picks))  # leave p out of dom x
-        upper = forced_image(_next_forced(p))
-        for v in range(prev_img + 1, upper):
-            pending.append((p + 1, v, picks + ((p, v),)))
-
-    solutions.sort(key=lambda m: (m.dom_gaps, m.ran_gaps))
-    return solutions
+    Returns ``(dom_fixed, ran_fixed, blocks)``.  ``blocks[i]`` is ``(run,
+    barred, slots)``: the barred and optional points between two forced
+    ones, the barred ones, and the slots; only blocks with both an optional
+    point and a slot are listed.  ``dom_fixed[i]`` and ``ran_fixed[i]`` are
+    the domain and image gaps shared by every solution that lie before
+    block i (after the last block for the final entry).
+    """
+    # the image under a of each domain gap of b that a maps
+    barred = _pull(b.dom_gaps, a.dom_gaps, a.ran_gaps)
+    if len(barred) != len(b.dom_gaps) - len(a.dom_gaps):
+        return None  # dom b must sit inside dom a
+    unforced = _merge(a.ran_gaps, list(barred))
+    runs, start = [], 0
+    for i in range(1, len(unforced) + 1):
+        if i == len(unforced) or unforced[i] != unforced[i - 1] + 1:
+            runs.append(unforced[start:i])
+            start = i
+    # x on the forced points on either side of each run: back through a,
+    # then on through b; 0, standing for "no forced point below", stays 0
+    bounds = [p for run in runs for p in (run[0] - 1, run[-1] + 1)]
+    images = _pull(_pull(bounds, a.ran_gaps, a.dom_gaps), b.dom_gaps, b.ran_gaps)
+    barred = set(barred)
+    b_ran = b.ran_gaps
+    dom_fixed, ran_fixed, blocks = [[]], [], []
+    taken = 0  # image gaps of b before this index are placed
+    for r, run in enumerate(runs):
+        lo = bisect_right(b_ran, images[2 * r], taken)
+        hi = bisect_left(b_ran, images[2 * r + 1], lo)
+        if lo < hi and not barred.issuperset(run):
+            ran_fixed.append(b_ran[taken:lo])
+            taken = hi
+            blocks.append((run, barred.intersection(run), b_ran[lo:hi]))
+            dom_fixed.append([])
+        else:  # every point of the run stays out of dom x, every slot out of im x
+            dom_fixed[-1].extend(run)
+    ran_fixed.append(b_ran[taken:])
+    return [tuple(d) for d in dom_fixed], ran_fixed, blocks

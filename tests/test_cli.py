@@ -513,3 +513,75 @@ class TestUpsetLimit:
         gaps = ",".join(map(str, range(1, 18)))
         assert main(["upset", f"m[{gaps};]"]) == 1
         assert "not an idempotent" in capsys.readouterr().err
+
+
+def _segment_text(k):
+    return ",".join(map(str, range(1, k + 1)))
+
+
+class TestCountAndLimit:
+    def test_solve_count_is_exact_without_listing(self, capsys):
+        seg = _segment_text(40)
+        assert main(["solve", "right", f"m[;{seg}]", f"m[;{seg}]", "--count"]) == 0
+        assert capsys.readouterr().out == "107507208733336176461620\n"  # C(80, 40)
+        assert main(["solve", "left", f"m[{seg};]", f"m[{seg};]", "--count", "--json"]) == 0
+        assert capsys.readouterr().out == "107507208733336176461620\n"
+        assert main(["solve", "right", "m[1;]", "m[;]", "--count"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_solve_limit_streams_the_first_members(self, capsys):
+        seg = _segment_text(40)
+        assert main(["solve", "right", f"m[;{seg}]", f"m[;{seg}]", "--limit", "3"]) == 0
+        assert capsys.readouterr().out == "107507208733336176461620 solution(s)\nm[;]\nm[1;1]\nm[1;2]\n"
+        assert main(["solve", "left", "m[1;]", "m[1,2;]", "--limit", "2", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"equation":{"side":"left","factor":{"dom_gaps":[1],"ran_gaps":[]},'
+            '"target":{"dom_gaps":[1,2],"ran_gaps":[]}},"solutions":[{"dom_gaps":[1],"ran_gaps":[]},'
+            '{"dom_gaps":[1,2],"ran_gaps":[1]}]}\n')
+        assert main(["solve", "right", "m[;1]", "m[;1]", "--limit", "5"]) == 0
+        assert capsys.readouterr().out == "2 solution(s)\nm[;]\nm[1;1]\n"
+
+    def test_upset_count_and_limit_past_the_gap_limit(self, capsys):
+        seg = _segment_text(30)
+        assert main(["upset", f"m[{seg};{seg}]", "--count"]) == 0
+        assert capsys.readouterr().out == f"{2 ** 30}\n"
+        assert main(["upset", f"m[{seg};{seg}]", "--limit", "3"]) == 0
+        assert capsys.readouterr().out == f"{2 ** 30} idempotent(s)\nm[;]\nm[1;1]\nm[1,2;1,2]\n"
+        assert main(["upset", "m[1,3;1,3]", "--limit", "2", "--json"]) == 0
+        assert capsys.readouterr().out == '[{"dom_gaps":[],"ran_gaps":[]},{"dom_gaps":[1],"ran_gaps":[1]}]\n'
+        assert main(["upset", f"m[{seg};]", "--count"]) == 1
+        assert "not an idempotent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "right", "m[;1]", "m[;1]", "--limit", "-1"],
+        ["upset", "m[1;1]", "--limit", "-2"],
+        ["upset", "m[1;1]", "--limit", "x"],
+        ["eval", "m[;]", "--rows", "-3"],
+        ["eval", "m[;]", "--rows", "1001"],
+        ["eval", "m[;]", "--count"],
+    ])
+    def test_out_of_range_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestLargeGapValues:
+    # each of these once built a tuple of every point up to the gap value
+    @pytest.mark.parametrize("argv", [
+        ["project-c", "m[100000000;]"],
+        ["below-c", "m[100000000;100000000]"],
+        ["gcong", "m[;100000000]", "m[;100000001]"],
+        ["fresh-bicyclic", "m[50000000;50000000]"],
+        ["eval", "b[100000000,0]*m[;]"],
+    ])
+    def test_refused_as_domain_errors(self, capsys, argv):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: initial segment")
+
+    def test_rows_at_the_limit(self, capsys):
+        assert main(["eval", "m[;]", "--rows", "1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith(" 999 1000 ... )") and len(lines) == 3

@@ -1,6 +1,7 @@
 """Core algebra: construction, evaluation, composition, inverses, orders."""
 
 import random
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,17 @@ import helpers
 from cofmap import (
     CofMap,
     IDENTITY,
+    MAX_SEGMENT,
     canonical_leq,
     compose,
     dom_tail_start,
     evaluate,
     from_dict,
     gapset,
+    initial_segment,
     invert,
     is_idempotent,
+    iter_up_set,
     natural_leq,
     preimage,
     ran_tail_start,
@@ -399,6 +403,26 @@ class TestUpSet:
         assert len(set(ups)) == len(ups)
         for u in ups:
             assert natural_leq(e, u)
+        want = sorted(sub for k in range(len(gaps) + 1) for sub in combinations(gaps, k))
+        assert [u.dom_gaps for u in ups] == want
+
+    def test_streams_without_building_the_list(self):
+        gaps = tuple(range(1, 41))
+        first = list(islice(iter_up_set(CofMap(gaps, gaps)), 3))
+        assert first == [IDENTITY, CofMap((1,), (1,)), CofMap((1, 2), (1, 2))]
+        with pytest.raises(ValueError):
+            iter_up_set(UP)  # refused on the call, before any member is asked for
+
+
+class TestInitialSegment:
+    def test_values_and_limit(self):
+        assert initial_segment(0) == () and initial_segment(-1) == ()
+        assert initial_segment(3) == (1, 2, 3)
+        assert len(initial_segment(MAX_SEGMENT)) == MAX_SEGMENT
+        with pytest.raises(ValueError):
+            initial_segment(MAX_SEGMENT + 1)
+        with pytest.raises(ValueError):
+            tail_identity(MAX_SEGMENT + 2)
 
 
 class TestJson:

@@ -1,5 +1,8 @@
 """Green's relations, structural witnesses, and the translation solver."""
 
+import time
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,28 +145,28 @@ tiny_maps = st.builds(CofMap, tiny_gaps, tiny_gaps)
 class TestSolve:
     def test_identity_factor(self):
         b = CofMap((2,), (1, 3))
-        assert solve_right(IDENTITY, b).solutions == (b,)
-        assert solve_left(IDENTITY, b).solutions == (b,)
+        assert tuple(solve_right(IDENTITY, b).solutions) == (b,)
+        assert tuple(solve_left(IDENTITY, b).solutions) == (b,)
 
     def test_spec_instances(self):
-        assert solve_right(UP, UP).solutions == (IDENTITY, CofMap((1,), (1,)))
-        assert solve_right(UP, IDENTITY).solutions == (DOWN,)
+        assert tuple(solve_right(UP, UP).solutions) == (IDENTITY, CofMap((1,), (1,)))
+        assert tuple(solve_right(UP, IDENTITY).solutions) == (DOWN,)
         left = solve_left(DOWN, IDENTITY)
-        assert left.solutions == (UP,)
+        assert tuple(left.solutions) == (UP,)
         assert left.side == "left" and left.factor == DOWN
 
     def test_empty_set_is_a_normal_result(self):
         # the target's domain must sit inside the factor's domain, else no x
-        assert solve_right(DOWN, IDENTITY).solutions == ()
+        assert tuple(solve_right(DOWN, IDENTITY).solutions) == ()
         # mirror condition on images for the left equation
-        assert solve_left(UP, IDENTITY).solutions == ()
+        assert tuple(solve_left(UP, IDENTITY).solutions) == ()
 
     def test_far_single_gap(self):
         # one optional point far out: the search must not take a stack frame
         # per point below it
         far = CofMap((), (1000,))
-        assert solve_right(far, far).solutions == (IDENTITY, CofMap((1000,), (1000,)))
-        assert solve_left(invert(far), invert(far)).solutions == (IDENTITY, CofMap((1000,), (1000,)))
+        assert tuple(solve_right(far, far).solutions) == (IDENTITY, CofMap((1000,), (1000,)))
+        assert tuple(solve_left(invert(far), invert(far)).solutions) == (IDENTITY, CofMap((1000,), (1000,)))
 
     @settings(max_examples=60, deadline=None)
     @given(tiny_maps, tiny_maps)
@@ -193,6 +196,12 @@ class TestSolve:
         assert keys == sorted(keys)
         assert len(set(sols)) == len(sols)
 
+    @settings(deadline=None)
+    @given(cofmaps, cofmaps)
+    def test_count_is_the_number_listed(self, a, b):
+        for sols in (solve_right(a, b), solve_left(a, b)):
+            assert sols.count == len(sols) == len(list(sols))
+
     def test_json_shape(self):
         d = solve_right(UP, UP).to_dict()
         assert d["equation"] == {
@@ -204,3 +213,80 @@ class TestSolve:
             {"dom_gaps": [], "ran_gaps": []},
             {"dom_gaps": [1], "ran_gaps": [1]},
         ]
+
+
+# (factor, target) of right equations whose solutions split into two or three
+# blocks, with barred points inside a block, gaps shared by every solution
+# before, between and after the blocks, and blocks after which every solution
+# still has a domain gap; every gap of the equations and their solutions is
+# at most 7, so the brute-force universe [1,7] covers them.  The left side
+# solves the inverted equations, whose blocks are the same with domain and
+# image swapped.
+MULTI_BLOCK = [
+    (CofMap((2, 5), (1, 3, 5)), CofMap((2, 4, 5, 6), (1, 3, 5, 7))),
+    (CofMap((3, 4, 5), (1, 3, 5)), CofMap((3, 4, 5, 6, 7), (1, 3, 4, 6, 7))),
+    (CofMap((1, 4, 6), (1, 3, 5)), CofMap((1, 3, 4, 6, 7), (1, 3, 4, 5, 7))),
+    (CofMap((1, 4), (1, 3, 5)), CofMap((1, 4, 6), (1, 3, 5, 7))),
+    (CofMap((1, 5), (1, 3, 4, 6)), CofMap((1, 3, 5), (1, 3, 4, 5, 6, 7))),
+    (CofMap((5,), (1, 3, 4, 5)), CofMap((5,), (1, 3, 4, 5, 6, 7))),
+    (CofMap((), (2, 4, 6)), CofMap((), (2, 4, 6))),  # three blocks of one point and one slot
+]
+
+
+class TestSolutionSet:
+    @pytest.mark.parametrize("a, b", MULTI_BLOCK)
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_order_and_membership_match_exhaustive(self, side, a, b):
+        if side == "left":
+            sols = solve_left(invert(a), invert(b))
+            want = brute_solutions(invert(a), invert(b), 7, "left")
+        else:
+            sols = solve_right(a, b)
+            want = brute_solutions(a, b, 7, "right")
+        assert len(want) > 1
+        assert list(sols) == want
+        assert sols.count == len(want)
+        members = set(want)
+        subs = helpers.small_gapsets(7)
+        for d in subs:
+            for r in subs:
+                x = CofMap(d, r)
+                assert (x in sols) == (x in members)
+
+    def test_far_gap_costs_nothing(self):
+        far = CofMap((), (10**9,))
+        start = time.perf_counter()
+        sols = list(solve_right(far, far))
+        elapsed = time.perf_counter() - start
+        assert sols == [IDENTITY, CofMap((10**9,), (10**9,))]
+        assert elapsed < 0.01
+
+    def test_many_points_for_one_slot(self):
+        # m[;1..n] * x == m[;1]: x keeps every point 1..n out of its domain,
+        # or all but one p, which it sends to the one free slot, 1
+        n = 300
+        a, b = CofMap((), tuple(range(1, n + 1))), CofMap((), (1,))
+        every = tuple(range(1, n + 1))
+        want = [CofMap(every, (1,))] + [CofMap(every[:p - 1] + every[p:], ()) for p in every]
+        want.sort(key=lambda m: (m.dom_gaps, m.ran_gaps))
+        assert list(solve_right(a, b)) == want
+        mirrored = sorted((invert(x) for x in want), key=lambda m: (m.dom_gaps, m.ran_gaps))
+        assert list(solve_left(invert(a), invert(b))) == mirrored
+
+    def test_exact_count_past_the_index_size(self):
+        seg = CofMap((), tuple(range(1, 41)))
+        sols = solve_right(seg, seg)
+        assert sols.count == comb(80, 40)
+        with pytest.raises(OverflowError):
+            len(sols)
+        assert sols and not solve_right(CofMap((1,), ()), IDENTITY)
+        first = next(iter(sols))
+        assert first == IDENTITY and first in sols
+        assert CofMap((1,), ()) not in sols and "m[;]" not in sols
+
+    def test_equal_when_the_equation_is(self):
+        a, b = MULTI_BLOCK[0]
+        assert solve_right(a, b) == solve_right(a, b)
+        assert hash(solve_right(a, b)) == hash(solve_right(a, b))
+        assert solve_right(a, b) != solve_left(a, b)
+        assert solve_right(a, b) != solve_right(b, b)
