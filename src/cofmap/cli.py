@@ -70,7 +70,6 @@ from .extensions import (
     element_to_dict,
     in_adj_nbhd,
     in_zero_nbhd,
-    sample_zero_stability,
     zero_mul,
     zero_stability_bound,
 )
@@ -320,13 +319,16 @@ def value_to_jsonable(v):
 
 
 def two_row_preview(g: CofMap, k: int) -> list[str]:
-    """First ``k`` columns of the map as a two-row table, then an ellipsis."""
-    xs, n = [], 1
-    while len(xs) < k:
-        if n not in g.dom_gaps:
-            xs.append(n)
-        n += 1
-    ys = [evaluate(g, x) for x in xs]
+    """First ``k`` columns of the map as a two-row table, then an ellipsis.
+
+    The i-th smallest point of the domain maps to the i-th smallest point
+    of the image, so each row is the first ``k`` points outside its gaps.
+    """
+    def first_points(gaps):  # all k of them lie in [1, k + len(gaps)]
+        skip = set(gaps)
+        return [n for n in range(1, k + len(gaps) + 1) if n not in skip][:k]
+
+    xs, ys = first_points(g.dom_gaps), first_points(g.ran_gaps)
     widths = [max(len(str(a)), len(str(b))) for a, b in zip(xs, ys)]
     top = " ".join(str(a).rjust(w) for a, w in zip(xs, widths))
     bot = " ".join(str(b).rjust(w) for b, w in zip(ys, widths))
@@ -348,7 +350,19 @@ def _map_arg(text: str) -> CofMap:
     return v
 
 
+def _bounded(most):
+    """argparse type: an int in [0, most] (no upper bound for None)."""
+    def count(text):
+        n = int(text)
+        if n < 0 or (most is not None and n > most):
+            raise argparse.ArgumentTypeError(
+                f"must be between 0 and {most}" if most is not None else "must not be negative")
+        return n
+    return count
+
+
 ELEM, MAP = _expr_arg, _map_arg
+COUNT = _bounded(None)  # a number of cases or members
 CHOICE = "choice"  # the argument picks the function from the row's dict
 EXPR, FIRST, SECOND = ("expr", MAP), ("first", MAP), ("second", MAP)
 
@@ -389,17 +403,22 @@ def _nbhd_adj(point, anchor, elem):
     return in_adj_nbhd(point, anchor, _promote(elem))
 
 
+# selftest is imported here, not at start-up: only these two commands need it
+
 def _stability(depth, a, cases, seed):
     import random
+
+    from .selftest import sample_zero_stability
 
     return SimpleNamespace(bound=zero_stability_bound(depth, a),
                            failed=sample_zero_stability(depth, a, random.Random(seed), cases))
 
 
 def _selftest(seed, cases):
-    from . import selftest  # imported here, not at start-up: only this command needs it
+    from .selftest import run_selftest
 
-    return selftest.run_selftest(seed=seed, cases=cases)
+    results = run_selftest(seed=seed, cases=cases)
+    return SimpleNamespace(results=results, failed=sum(1 for _, k in results if k))
 
 
 # -- output shapes: result, args -> the JSON document if args.json, else the
@@ -475,19 +494,21 @@ def _stability_report(r, args):
 
 
 def _selftest_report(report, args):
+    passed = len(report.results) - report.failed
     if args.json:
-        return {"seed": args.seed, "cases": args.cases, "passed": report.passed, "failed": report.failed,
+        return {"seed": args.seed, "cases": args.cases, "passed": passed, "failed": report.failed,
                 "checks": [{"name": n, "failures": k} for n, k in report.results]}
     return ([f"{'PASS' if k == 0 else 'FAIL'}  {n}" + ("" if k == 0 else f"  ({k} failures)")
              for n, k in report.results]
-            + [f"passed={report.passed} failed={report.failed} seed={args.seed} cases={args.cases}"])
+            + [f"passed={passed} failed={report.failed} seed={args.seed} cases={args.cases}"])
 
 
 # name -> (help, arguments, function, output shape).  An argument is (name,
-# kind) or (name, kind, default); "--name" is an option.  int is parsed by
-# argparse, but ELEM and MAP text is evaluated in main's try: as an argparse
-# type=, a ParseError (a ValueError) would become a usage error.  CHOICE picks
-# the function from the row's dict; the other arguments reach it in order.
+# kind) or (name, kind, default); "--name" is an option.  int and COUNT are
+# parsed by argparse, but ELEM and MAP text is evaluated in main's try: as an
+# argparse type=, a ParseError (a ValueError) would become a usage error.
+# CHOICE picks the function from the row's dict; the other arguments reach it
+# in order.
 COMMANDS = {
     "eval": ("evaluate an expression", [("expr", str)], ELEM, _element),
     "apply": ("apply a map expression to a point", [EXPR, ("point", int)], _apply, _scalar),
@@ -519,9 +540,9 @@ COMMANDS = {
     "nbhd-adj": ("membership in a basic integer neighborhood",
                  [("point", int), ("anchor", MAP), ("expr", ELEM)], _nbhd_adj, _scalar),
     "stability": ("translation-stability bound for zero neighborhoods",
-                  [("depth", int), EXPR, ("cases", int, 500), ("seed", int, 0)],
+                  [("depth", int), EXPR, ("cases", COUNT, 500), ("seed", int, 0)],
                   _stability, _stability_report),
-    "selftest": ("run the randomized property suite", [("--seed", int, 1), ("--cases", int, 300)],
+    "selftest": ("run the randomized property suite", [("--seed", int, 1), ("--cases", COUNT, 300)],
                  _selftest, _selftest_report),
 }
 
@@ -539,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         for dest, kind, *default in arguments:
             kw = {"help": "expression ('-' reads stdin)"} if dest == "expr" else {}
-            if kind is int:
-                kw["type"] = int
+            if kind is int or kind is COUNT:
+                kw["type"] = kind
             elif kind is CHOICE:
                 kw["choices"] = list(fn)
             if default:
@@ -553,20 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also print the first K mapped points as a two-row table")
         if isinstance(shape, _Listing):
             sp.add_argument("--count", action="store_true", help="print only the number of members")
-            sp.add_argument("--limit", type=_bounded(None), metavar="N",
+            sp.add_argument("--limit", type=COUNT, metavar="N",
                             help="print only the first N members, in order")
     return p
-
-
-def _bounded(most):
-    """argparse type: an int in [0, most] (no upper bound for None)."""
-    def count(text):
-        n = int(text)
-        if n < 0 or (most is not None and n > most):
-            raise argparse.ArgumentTypeError(
-                f"must be between 0 and {most}" if most is not None else "must not be negative")
-        return n
-    return count
 
 
 def main(argv=None) -> int:

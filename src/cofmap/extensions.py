@@ -10,7 +10,7 @@ extension of the anchor map".
 
 from __future__ import annotations
 
-from .core import CofMap, canonical_leq, compose, invert, shift, to_dict, from_dict
+from .core import CofMap, canonical_leq, compose, shift, to_dict, from_dict
 
 
 class AdjoinedZero:
@@ -92,27 +92,6 @@ def zero_stability_bound(i: int, a: CofMap) -> int:
     if i < 1:
         raise ValueError("neighborhood index must be >= 1")
     return i + max(len(a.dom_gaps), len(a.ran_gaps))
-
-
-def sample_zero_stability(i: int, a: CofMap, rng, cases: int = 1000) -> int:
-    """Randomized spot-check of the stability guarantees; returns the
-    number of violations found (expected 0)."""
-    from .sampling import random_cofmap
-
-    j = zero_stability_bound(i, a)
-    bad = 0
-    for _ in range(cases):
-        g = random_cofmap(rng, max_size=j + 4)
-        h = random_cofmap(rng, max_size=j + 4)
-        if in_zero_nbhd(i, g) and in_zero_nbhd(i, h):
-            if not in_zero_nbhd(i, compose(g, h)):
-                bad += 1
-        if in_zero_nbhd(j, g):
-            if not (in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))):
-                bad += 1
-        if in_zero_nbhd(i, g) != in_zero_nbhd(i, invert(g)):
-            bad += 1
-    return bad
 
 
 def element_to_dict(x) -> dict:

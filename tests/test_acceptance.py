@@ -1,387 +1,20 @@
-"""Acceptance suite: one test per criterion, at the stated size and
-tolerance, each printing a pass/fail line (run with ``pytest -s`` to see
-them).  Element generator: gap sets inside [1, 30] with at most 10 entries
-per side; oracle truncation window 200; 10,000 cases unless a criterion
-says otherwise.  All randomness is seeded, so the run is reproducible.
+"""Acceptance suite: every law of the registry ``cofmap.selftest.CHECKS``
+at 10,000 cases, one test per check, with the check name as the test id.
+
+Each check draws from the generator that ``cofmap selftest`` gives it, so a
+failure here replays exactly with ``cofmap selftest --seed 1 --cases 10000``.
 """
 
-import random
-import subprocess
-import sys
+import pytest
 
-import helpers
-from cofmap import (
-    Bicyclic,
-    CofMap,
-    ZERO,
-    adj_mul,
-    as_bicyclic,
-    absorbing_idempotent,
-    canonical_leq,
-    compose,
-    congruence_witnesses,
-    connect_idempotents,
-    conjugation_witness,
-    embed,
-    evaluate,
-    fresh_bicyclic,
-    green_d,
-    green_h,
-    green_l,
-    green_r,
-    group_congruent,
-    in_adj_nbhd,
-    in_zero_nbhd,
-    invert,
-    is_idempotent,
-    natural_leq,
-    semilattice_iso,
-    shift,
-    simplicity_witness,
-    solve_left,
-    solve_right,
-    standard_below,
-    tail_identity,
-    tail_projection,
-    up_set,
-    zero_mul,
-    zero_stability_bound,
-)
-from cofmap.sampling import all_cofmaps, random_cofmap, random_idempotent
+from cofmap.selftest import CHECKS, rng_for
 
+SEED = 1
 CASES = 10_000
 
 
-def rng_for(criterion):
-    return random.Random(f"acceptance:{criterion}")
-
-
-def report(num, ok, label):
-    print(f"{'PASS' if ok else 'FAIL'} [{num:2d}] {label}")
-    assert ok, f"criterion {num} failed: {label}"
-
-
-def test_criterion_01_compose_oracle():
-    rng = rng_for(1)
-    bad = 0
-    for _ in range(CASES):
-        g, h = random_cofmap(rng), random_cofmap(rng)
-        gm = helpers.two_row(g.dom_gaps, g.ran_gaps, n=260)
-        hm = helpers.two_row(h.dom_gaps, h.ran_gaps, n=260)
-        oracle = helpers.two_row_compose(gm, hm)
-        got = compose(g, h)
-        rows = helpers.two_row(got.dom_gaps, got.ran_gaps, n=200)
-        for x in range(1, 201):
-            if oracle.get(x) != rows.get(x):
-                bad += 1
-                break
-        for x in (rng.randint(1, 200) for _ in range(4)):
-            if evaluate(got, x) != oracle.get(x):
-                bad += 1
-                break
-        if shift(got) != shift(g) + shift(h):
-            bad += 1
-    report(1, bad == 0, f"compose matches the truncated oracle on {CASES} pairs")
-
-
-def test_criterion_02_inverse_monoid_axioms():
-    rng = rng_for(2)
-    bad = 0
-    for _ in range(CASES):
-        a, b, c = (random_cofmap(rng) for _ in range(3))
-        if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            bad += 1
-        ai = invert(a)
-        if compose(compose(a, ai), a) != a or compose(compose(ai, a), ai) != ai:
-            bad += 1
-        if invert(compose(a, b)) != compose(invert(b), ai):
-            bad += 1
-        e, f = random_idempotent(rng), random_idempotent(rng)
-        if compose(e, f) != compose(f, e):
-            bad += 1
-    report(2, bad == 0, f"inverse-monoid axioms hold on {CASES} triples")
-
-
-def test_criterion_03_simplicity_witness():
-    rng = rng_for(3)
-    bad = 0
-    for _ in range(CASES):
-        a, b = random_cofmap(rng), random_cofmap(rng)
-        g, d = simplicity_witness(a, b)
-        if compose(compose(g, a), d) != b:
-            bad += 1
-    report(3, bad == 0, f"simplicity witness composes to the target on {CASES} pairs")
-
-
-def test_criterion_04_green_relations():
-    rng = rng_for(4)
-    bad = 0
-    for _ in range(CASES):
-        a = random_cofmap(rng)
-        roll = rng.random()
-        if roll < 0.25:
-            b = CofMap(a.dom_gaps, random_cofmap(rng).ran_gaps)
-        elif roll < 0.5:
-            b = CofMap(random_cofmap(rng).dom_gaps, a.ran_gaps)
-        else:
-            b = random_cofmap(rng)
-        if green_r(a, b) != (compose(a, invert(a)) == compose(b, invert(b))):
-            bad += 1
-        if green_l(a, b) != (compose(invert(a), a) == compose(invert(b), b)):
-            bad += 1
-        if green_h(a, b) != (a == b) or not green_d(a, b):
-            bad += 1
-    report(4, bad == 0, f"Green tests agree with idempotent forms on {CASES} pairs")
-
-
-def test_criterion_05_connecting_element():
-    rng = rng_for(5)
-    bad = 0
-    for _ in range(CASES):
-        e, i = random_idempotent(rng), random_idempotent(rng)
-        a = connect_idempotents(e, i)
-        if compose(a, invert(a)) != e or compose(invert(a), a) != i:
-            bad += 1
-    universe = all_cofmaps(6)
-    for _ in range(100):
-        gaps_e = tuple(sorted(rng.sample(range(1, 7), rng.randint(0, 3))))
-        gaps_i = tuple(sorted(rng.sample(range(1, 7), rng.randint(0, 3))))
-        e, i = CofMap(gaps_e, gaps_e), CofMap(gaps_i, gaps_i)
-        found = [
-            x
-            for x in universe
-            if compose(x, invert(x)) == e and compose(invert(x), x) == i
-        ]
-        if found != [connect_idempotents(e, i)]:
-            bad += 1
-    report(5, bad == 0, "idempotents connect uniquely (10000 pairs + 100 exhaustive)")
-
-
-def test_criterion_06_semilattice():
-    rng = rng_for(6)
-    bad = 0
-    for _ in range(CASES):
-        e, f = random_idempotent(rng), random_idempotent(rng)
-        if natural_leq(e, f) != (set(e.dom_gaps) >= set(f.dom_gaps)):
-            bad += 1
-        if set(semilattice_iso(compose(e, f))) != set(semilattice_iso(e)) | set(
-            semilattice_iso(f)
-        ):
-            bad += 1
-    report(6, bad == 0, f"natural order and gap-set isomorphism on {CASES} pairs")
-
-
-def test_criterion_07_upsets_and_chains():
-    rng = rng_for(7)
-    bad = 0
-    for _ in range(300):
-        size = rng.randint(0, 12)
-        gaps = tuple(sorted(rng.sample(range(1, 31), size)))
-        e = CofMap(gaps, gaps)
-        ups = up_set(e)
-        if len(ups) != 2 ** len(gaps) or len(set(ups)) != len(ups):
-            bad += 1
-        if any(not natural_leq(e, u) for u in ups):
-            bad += 1
-    for _ in range(CASES):
-        e = random_idempotent(rng)
-        current = e
-        free = (x for x in range(1, 1000) if x not in e.dom_gaps)
-        for _ in range(20):
-            nxt_gap = next(free)
-            nxt = compose(current, CofMap((nxt_gap,), (nxt_gap,)))
-            if not (natural_leq(nxt, current) and nxt != current):
-                bad += 1
-                break
-            current = nxt
-    report(7, bad == 0, "up-set sizes are 2**gaps; 20-step descending chains exist")
-
-
-def test_criterion_08_translation_equations():
-    rng = rng_for(8)
-    # factor/target gaps within [1,4], at most 2 per side: solutions then
-    # provably have gaps within [1,6], so the stated 2^6 x 2^6 universe of
-    # candidates is covering and set equality is meaningful
-    universe = all_cofmaps(6)
-    bad = 0
-    for _ in range(200):
-        a = CofMap(*(tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 2)))) for _ in range(2)))
-        b = CofMap(*(tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 2)))) for _ in range(2)))
-        brute_right = {u for u in universe if compose(a, u) == b}
-        if set(solve_right(a, b).solutions) != brute_right:
-            bad += 1
-        brute_left = {u for u in universe if compose(u, a) == b}
-        if set(solve_left(a, b).solutions) != brute_left:
-            bad += 1
-    report(8, bad == 0, "translation solutions equal exhaustive search (200 pairs)")
-
-
-def test_criterion_09_tail_constructions():
-    rng = rng_for(9)
-    bad = 0
-    for _ in range(CASES):
-        e = random_idempotent(rng)
-        unity, up, down = fresh_bicyclic(e)
-        if not natural_leq(unity, e) or compose(up, down) != unity:
-            bad += 1
-        if as_bicyclic(unity) is not None:
-            bad += 1
-        pow_up = [unity]
-        for _ in range(9):
-            pow_up.append(compose(pow_up[-1], up))
-        s, t = rng.randint(0, 6), rng.randint(0, 6)
-        s2, t2 = rng.randint(0, 3), rng.randint(0, 3)
-        if as_bicyclic(compose(invert(pow_up[s]), pow_up[t])) is not None:
-            bad += 1
-        k = min(t, s2)
-        lhs = compose(
-            compose(invert(pow_up[s]), pow_up[t]),
-            compose(invert(pow_up[s2]), pow_up[t2]),
-        )
-        if lhs != compose(invert(pow_up[s + s2 - k]), pow_up[t + t2 - k]):
-            bad += 1
-
-        g = random_cofmap(rng)
-        mu, eps = tail_projection(g)
-        if as_bicyclic(mu) is None or as_bicyclic(eps) is None:
-            bad += 1
-        if compose(g, eps) != compose(mu, eps) or compose(eps, g) != compose(eps, mu):
-            bad += 1
-
-        eps2, prod = absorbing_idempotent(e)
-        if prod != eps2 or as_bicyclic(eps2) is None:
-            bad += 1
-        psi = tail_identity(len(eps2.dom_gaps) + 1 + rng.randint(0, 5))
-        if not natural_leq(psi, eps2) or as_bicyclic(compose(psi, eps2)) is None:
-            bad += 1
-
-        below = standard_below(e)
-        if as_bicyclic(below) is None or not natural_leq(below, e):
-            bad += 1
-
-        eps3, left, right = conjugation_witness(g)
-        for c in (left, right):
-            if not is_idempotent(c) or as_bicyclic(c) is None:
-                bad += 1
-    report(9, bad == 0, f"tail-construction postconditions hold on {CASES} inputs")
-
-
-def test_criterion_10_group_congruence():
-    rng = rng_for(10)
-    bad = 0
-    for n in range(-10, 11):
-        w = embed(Bicyclic(0, n)) if n >= 0 else embed(Bicyclic(-n, 0))
-        if shift(w) != n:
-            bad += 1
-    for _ in range(CASES):
-        a, b = random_cofmap(rng), random_cofmap(rng)
-        if shift(compose(a, b)) != shift(a) + shift(b):
-            bad += 1
-        same_fiber = shift(a) == shift(b)
-        w = congruence_witnesses(a, b)
-        if group_congruent(a, b) != same_fiber or (w is None) == same_fiber:
-            bad += 1
-        if w is not None:
-            left, right = w
-            if as_bicyclic(left) is None or as_bicyclic(right) is None:
-                bad += 1
-            if compose(left, a) != compose(left, b) or compose(a, right) != compose(b, right):
-                bad += 1
-        else:
-            # no idempotent can merge maps from different fibers
-            e = random_idempotent(rng)
-            if compose(e, a) == compose(e, b) or compose(a, e) == compose(b, e):
-                bad += 1
-    report(10, bad == 0, f"shift homomorphism generates the congruence ({CASES} pairs)")
-
-
-def test_criterion_11_bicyclic_arithmetic():
-    rng = rng_for(11)
-    bad = 0
-    for _ in range(CASES):
-        x = Bicyclic(rng.randint(0, 20), rng.randint(0, 20))
-        y = Bicyclic(rng.randint(0, 20), rng.randint(0, 20))
-        z = x * y
-        if (z.m, z.n) != helpers.rewrite_product(x.m, x.n, y.m, y.n):
-            bad += 1
-        if embed(z) != compose(embed(x), embed(y)):
-            bad += 1
-        if as_bicyclic(embed(x)) != x:
-            bad += 1
-    report(11, bad == 0, f"normal-form arithmetic matches rewriting on {CASES} pairs")
-
-
-def test_criterion_12_enlargements():
-    rng = rng_for(12)
-
-    def zero_elem():
-        return ZERO if rng.random() < 0.3 else random_cofmap(rng)
-
-    def adj_elem():
-        return rng.randint(-10, 10) if rng.random() < 0.4 else random_cofmap(rng)
-
-    bad = 0
-    for _ in range(CASES):
-        x, y, z = zero_elem(), zero_elem(), zero_elem()
-        if zero_mul(zero_mul(x, y), z) != zero_mul(x, zero_mul(y, z)):
-            bad += 1
-        u, v, w = adj_elem(), adj_elem(), adj_elem()
-        if adj_mul(adj_mul(u, v), w) != adj_mul(u, adj_mul(v, w)):
-            bad += 1
-
-        i = rng.randint(1, 6)
-        g, h = random_cofmap(rng), random_cofmap(rng)
-        if in_zero_nbhd(i, g) and in_zero_nbhd(i, h) and not in_zero_nbhd(i, compose(g, h)):
-            bad += 1
-        a = random_cofmap(rng, max_size=5)
-        j = zero_stability_bound(i, a)
-        if in_zero_nbhd(j, g):
-            if not (in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))):
-                bad += 1
-
-        anchor, elem = random_cofmap(rng), random_cofmap(rng)
-        want = shift(elem) == shift(anchor) and not canonical_leq(anchor, elem)
-        if in_adj_nbhd(shift(anchor), anchor, elem) != want:
-            bad += 1
-    report(12, bad == 0, f"enlargement laws and neighborhood bounds ({CASES} cases)")
-
-
-def test_criterion_13_cli():
-    from cofmap.cli import eval_expr, parse, render
-
-    rng = rng_for(13)
-    bad = 0
-    for _ in range(CASES):
-        roll = rng.random()
-        if roll < 0.55:
-            v = random_cofmap(rng)
-        elif roll < 0.75:
-            v = Bicyclic(rng.randint(0, 20), rng.randint(0, 20))
-        elif roll < 0.95:
-            v = rng.randint(-50, 50)
-        else:
-            v = ZERO
-        if eval_expr(parse(render(v))) != v:
-            bad += 1
-
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "cofmap", *args], capture_output=True
-        )
-
-    r = run("f", "m[1,2,3;5]", "--json")
-    if (r.returncode, r.stdout) != (0, b"-2\n"):
-        bad += 1
-    r = run("green", "R", "m[;1]", "m[;2]", "--json")
-    if (r.returncode, r.stdout) != (0, b"true\n"):
-        bad += 1
-    r = run("solve", "right", "m[;1]", "m[;1]", "--json")
-    want = (
-        b'{"equation":{"side":"right","factor":{"dom_gaps":[],"ran_gaps":[1]},'
-        b'"target":{"dom_gaps":[],"ran_gaps":[1]}},'
-        b'"solutions":[{"dom_gaps":[],"ran_gaps":[]},'
-        b'{"dom_gaps":[1],"ran_gaps":[1]}]}\n'
-    )
-    if (r.returncode, r.stdout) != (0, want):
-        bad += 1
-    report(13, bad == 0, f"round-trip on {CASES} elements; documented outputs byte-exact")
+@pytest.mark.parametrize("name,law", CHECKS, ids=[name for name, _ in CHECKS])
+def test_law(name, law):
+    failures = law(rng_for(SEED, name), CASES)
+    assert failures == 0, (
+        f"{failures} failure(s); replay with: cofmap selftest --seed {SEED} --cases {CASES}")

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from cofmap.cli import (
     render,
     two_row_preview,
 )
+from cofmap.selftest import two_row
 
 UP = CofMap((), (1,))
 
@@ -119,6 +121,17 @@ class TestRender:
         top, bottom = two_row_preview(CofMap((2,), (1, 3)), 3)
         assert top == "( 1 3 4 ... )"
         assert bottom == "( 2 4 5 ... )"
+
+    def test_two_row_preview_is_linear_in_columns_and_gaps(self):
+        g = CofMap(tuple(range(1, 20001)), ())
+        start = time.perf_counter()
+        top, bottom = two_row_preview(g, 1000)
+        elapsed = time.perf_counter() - start
+        oracle = two_row(g.dom_gaps, g.ran_gaps, n=21000)
+        xs = sorted(oracle)[:1000]
+        assert top.split()[1:-2] == [str(x) for x in xs]
+        assert bottom.split()[1:-2] == [str(oracle[x]) for x in xs]
+        assert elapsed < 0.1  # a walk costing (K + gaps) * gaps takes seconds here
 
 
 class TestMainExitCodes:
@@ -559,6 +572,8 @@ class TestCountAndLimit:
         ["eval", "m[;]", "--rows", "-3"],
         ["eval", "m[;]", "--rows", "1001"],
         ["eval", "m[;]", "--count"],
+        ["selftest", "--cases", "-3"],
+        ["stability", "3", "m[;1]", "--", "-5"],
     ])
     def test_out_of_range_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,6 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import helpers
 from cofmap import (
     CofMap,
     IDENTITY,
@@ -31,6 +30,7 @@ from cofmap import (
     to_dict,
     up_set,
 )
+from cofmap.selftest import two_row, two_row_compose
 
 UP = CofMap((), (1,))   # n -> n + 1
 DOWN = CofMap((1,), ())    # n -> n - 1 on {2, 3, ...}
@@ -47,7 +47,7 @@ def sample_gaps(rng, k, hi, lo=1):
 
 
 def wide_window(*maps):
-    """(n, slack, upto) for helpers.two_row on the given maps.
+    """(n, slack, upto) for two_row on the given maps.
 
     ``upto`` lies past every gap and every shift threshold, and far enough
     out that two maps built from these differ below it if they differ at
@@ -62,15 +62,15 @@ def wide_window(*maps):
 
 
 def oracle_map(g, n, slack):
-    return helpers.two_row(g.dom_gaps, g.ran_gaps, n=n, slack=slack)
+    return two_row(g.dom_gaps, g.ran_gaps, n=n, slack=slack)
 
 
 def oracle_restricts(a, b):
     """The definition ``b * (a^-1 * a) == a``, composed pointwise."""
     n, slack, upto = wide_window(a, b)
     am, bm = oracle_map(a, n, slack), oracle_map(b, n, slack)
-    onto_image = helpers.two_row_compose({v: x for x, v in am.items()}, am)
-    want = helpers.two_row_compose(bm, onto_image)
+    onto_image = two_row_compose({v: x for x, v in am.items()}, am)
+    want = two_row_compose(bm, onto_image)
     return all(want.get(x) == am.get(x) for x in range(1, upto + 1))
 
 
@@ -135,7 +135,7 @@ class TestEvaluate:
 
     @given(cofmaps, st.integers(min_value=1, max_value=120))
     def test_matches_two_row_oracle(self, g, n):
-        oracle = helpers.two_row(g.dom_gaps, g.ran_gaps)
+        oracle = two_row(g.dom_gaps, g.ran_gaps)
         assert evaluate(g, n) == oracle.get(n)
 
     def test_wide_map_matches_two_row_oracle(self):
@@ -168,9 +168,9 @@ class TestCompose:
 
     @given(cofmaps, cofmaps)
     def test_matches_pointwise_oracle(self, g, h):
-        gm = helpers.two_row(g.dom_gaps, g.ran_gaps)
-        hm = helpers.two_row(h.dom_gaps, h.ran_gaps)
-        want = helpers.two_row_compose(gm, hm)
+        gm = two_row(g.dom_gaps, g.ran_gaps)
+        hm = two_row(h.dom_gaps, h.ran_gaps)
+        want = two_row_compose(gm, hm)
         got = compose(g, h)
         for x in range(1, 150):
             assert evaluate(got, x) == want.get(x)
@@ -178,7 +178,7 @@ class TestCompose:
     @pytest.mark.parametrize("shape,g,h", WIDE_PAIRS, ids=[p[0] for p in WIDE_PAIRS])
     def test_wide_matches_pointwise_oracle(self, shape, g, h):
         n, slack, upto = wide_window(g, h)
-        want = helpers.two_row_compose(oracle_map(g, n, slack), oracle_map(h, n, slack))
+        want = two_row_compose(oracle_map(g, n, slack), oracle_map(h, n, slack))
         got = compose(g, h)
         for x in range(1, upto + 1):
             assert evaluate(got, x) == want.get(x)

@@ -17,11 +17,11 @@ from cofmap import (
     in_adj_nbhd,
     in_zero_nbhd,
     invert,
-    sample_zero_stability,
     shift,
     zero_mul,
     zero_stability_bound,
 )
+from cofmap.selftest import sample_zero_stability
 
 UP = CofMap((), (1,))
 DOWN = CofMap((1,), ())

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import helpers
 from cofmap import (
     CofMap,
     IDENTITY,
@@ -23,6 +22,7 @@ from cofmap import (
     solve_left,
     solve_right,
 )
+from cofmap.selftest import all_gapsets
 
 UP = CofMap((), (1,))
 DOWN = CofMap((1,), ())
@@ -72,7 +72,7 @@ class TestConnectIdempotents:
 
     def test_uniqueness_small(self):
         # no other candidate map in a small universe links the same pair
-        subs = helpers.small_gapsets(4)
+        subs = all_gapsets(4)
         universe = [CofMap(d, r) for d in subs for r in subs]
         for e_gaps in [(1,), (2, 3), (1, 4)]:
             for i_gaps in [(), (1,), (2, 4)]:
@@ -123,7 +123,7 @@ class TestSemilatticeIso:
 
 
 def brute_solutions(a, b, bound, side):
-    subs = helpers.small_gapsets(bound)
+    subs = all_gapsets(bound)
     out = []
     for d in subs:
         for r in subs:
@@ -247,7 +247,7 @@ class TestSolutionSet:
         assert list(sols) == want
         assert sols.count == len(want)
         members = set(want)
-        subs = helpers.small_gapsets(7)
+        subs = all_gapsets(7)
         for d in subs:
             for r in subs:
                 x = CofMap(d, r)
