@@ -13,6 +13,12 @@ normal form, ``z[k]`` an integer of the adjunction semigroup, ``O`` the
 adjoined zero, and ``id`` is shorthand for ``m[;]``.  Postfix ``'``
 inverts.  NOTE: ``*`` composes LEFT TO RIGHT, i.e. ``g * h`` applies ``g``
 first; this is the opposite of the classical function-composition order.
+Numbers are written in Unicode decimal digits, which ``int`` reads:
+``m[١;]`` is ``m[1;]``, while a superscript such as ``²`` is not a digit.
+
+Parsing reads each element and each of ``* ( ) '`` with one match of one
+compiled regular expression, so its cost follows the number of elements
+and gaps, with no Python call per character.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -34,8 +40,8 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from types import SimpleNamespace
 
@@ -51,7 +57,9 @@ from .bicyclic import (
     tail_projection,
 )
 from .core import (
+    IDENTITY,
     CofMap,
+    _trusted,
     canonical_leq,
     compose,
     evaluate,
@@ -79,8 +87,8 @@ from .green import (
 )
 
 OUTPUT_MODE_ENV = "COFMAP_OUTPUT"  # set to "json" to default to --json
-# parsing and evaluation recurse once per level of parentheses, so this
-# keeps them far inside the interpreter's recursion limit
+# evaluation recurses once per level of parentheses, so this keeps it far
+# inside the interpreter's recursion limit
 MAX_NESTING = 100
 UPSET_MAX_GAPS = 16  # 2**16 idempotents; 30 gaps would build 2**30 maps
 MAX_ROWS = 1000  # columns of a --rows preview
@@ -102,144 +110,163 @@ class ExprTypeError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
 class Lit:
-    value: object
-    span: tuple
+    __slots__ = ("value", "span")
+
+    def __init__(self, value, span):
+        self.value, self.span = value, span
 
 
-@dataclass(frozen=True)
 class Inv:
-    child: object
-    span: tuple
+    __slots__ = ("child", "span")
+
+    def __init__(self, child, span):
+        self.child, self.span = child, span
 
 
-@dataclass(frozen=True)
 class Mul:
-    factors: tuple  # two or more terms, multiplied left to right
-    span: tuple
+    __slots__ = ("factors", "span")
+
+    def __init__(self, factors, span):
+        self.factors = factors  # two or more terms, multiplied left to right
+        self.span = span
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0  # open parentheses
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", (self.pos, self.pos + 1))
-        self.pos += 1
-
-    def number(self, signed=False) -> int:
-        self.skip_ws()
-        start = self.pos
-        if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            raise ParseError("expected a number", (start, start + 1))
-        return int(self.text[start:self.pos])
+# One match of _TOKEN reads the whitespace before a token and then one
+# element or one of * ( ) '.  Each part of an element after its letter is
+# optional and nested in the part before it, so a malformed element still
+# matches up to its first bad character, and _malformed tells what was
+# expected there.  Group 1 is the token; then the gap lists and "]" of a
+# map, the numbers and "]" of a bicyclic element, and the number and "]" of
+# an integer.
+_LIST = r"\d+(?:\s*,\s*\d+)*"
+_TOKEN = re.compile(rf"""\s*(
+    m(?:\s*\[(?:\s*({_LIST}))?(?:\s*;(?:\s*({_LIST}))?(?:\s*(\]))?)?)?
+  | b(?:\s*\[(?:\s*(\d+)(?:\s*,(?:\s*(\d+)(?:\s*(\]))?)?)?)?)?
+  | z(?:\s*\[(?:\s*([+-]?\d+)(?:\s*(\]))?)?)?
+  | id | [O*()']
+)?""", re.VERBOSE)
+_SPACE = re.compile(r"\s*")
+_strip = str.strip  # \s matches "\x1c".."\x1f", which int() does not strip
 
 
 def parse(text: str):
-    """Parse an expression; raises :class:`ParseError` on bad syntax."""
-    sc = _Scanner(text)
-    node = _parse_expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise ParseError("trailing input", (sc.pos, len(text)))
-    return node
+    """Parse an expression; raises :class:`ParseError` on bad syntax.
+
+    Each element and each operator is one match of ``_TOKEN``; the
+    parentheses open around the current product are kept on a stack, so
+    nothing recurses.
+    """
+    match = _TOKEN.match
+    outer = []  # the factors of each enclosing product, innermost last
+    factors = []  # the factors of the current product
+    pos = 0
+    while True:
+        # a term: an element or "("
+        tok = match(text, pos)
+        start, pos = tok.span(1)
+        head = text[start] if start >= 0 else ""
+        if head == "m":
+            dom, ran, close = tok.group(2, 3, 4)
+            if close is None:
+                _malformed(text, tok)
+            node = Lit(_trusted(_gaps(text, tok, 2) if dom else (),
+                                _gaps(text, tok, 3) if ran else ()), (start, pos))
+        elif head == "b":
+            m, n, close = tok.group(5, 6, 7)
+            if close is None:
+                _malformed(text, tok)
+            node = Lit(Bicyclic(int(m), int(n)), (start, pos))
+        elif head == "z":
+            k, close = tok.group(8, 9)
+            if close is None:
+                _malformed(text, tok)
+            node = Lit(int(k), (start, pos))
+        elif head == "(":
+            if len(outer) == MAX_NESTING:
+                raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", (start, pos))
+            outer.append(factors)
+            factors = []
+            continue
+        elif head == "O":
+            node = Lit(ZERO, (start, pos))
+        elif head == "i":
+            node = Lit(IDENTITY, (start, pos))
+        else:
+            at = tok.end() if start < 0 else start
+            raise ParseError("expected an element, '(' or 'id'", (at, at + 1))
+        # postfix primes, then "*", ")" or the end
+        while True:
+            tok = match(text, pos)
+            start, end = tok.span(1)
+            head = text[start] if start >= 0 else ""
+            if head == "'":
+                if type(node) is Lit and isinstance(node.value, (int, AdjoinedZero)):
+                    raise ParseError("integers and the zero have no inverse", (start, end))
+                node, pos = Inv(node, (node.span[0], end)), end
+                continue
+            factors.append(node)
+            if head == "*":
+                pos = end
+                break
+            node = factors[0] if len(factors) == 1 else \
+                Mul(tuple(factors), (factors[0].span[0], node.span[1]))
+            if head == ")" and outer:
+                factors, pos = outer.pop(), end
+                continue
+            at = tok.end() if start < 0 else start
+            if outer:
+                raise ParseError("expected ')'", (at, at + 1))
+            if at != len(text):
+                raise ParseError("trailing input", (at, len(text)))
+            return node
 
 
-def _parse_expr(sc: _Scanner):
-    terms = [_parse_term(sc)]
-    while sc.peek() == "*":
-        sc.take("*")
-        terms.append(_parse_term(sc))
-    if len(terms) == 1:
-        return terms[0]
-    return Mul(tuple(terms), (terms[0].span[0], terms[-1].span[1]))
-
-
-def _parse_term(sc: _Scanner):
-    node = _parse_atom(sc)
-    while sc.peek() == "'":
-        start = sc.pos
-        sc.take("'")
-        if isinstance(node, Lit) and isinstance(node.value, (int, AdjoinedZero)):
-            raise ParseError("integers and the zero have no inverse", (start, sc.pos))
-        node = Inv(node, (node.span[0], sc.pos))
-    return node
-
-
-def _parse_atom(sc: _Scanner):
-    ch = sc.peek()
-    start = sc.pos
-    if ch == "(":
-        if sc.depth == MAX_NESTING:
-            raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", (start, start + 1))
-        sc.take("(")
-        sc.depth += 1
-        node = _parse_expr(sc)
-        sc.take(")")
-        sc.depth -= 1
-        return node
-    if ch == "m":
-        sc.pos += 1
-        sc.take("[")
-        dom = _parse_gaps(sc, ";")
-        sc.take(";")
-        ran = _parse_gaps(sc, "]")
-        sc.take("]")
-        return Lit(CofMap(dom, ran), (start, sc.pos))
-    if ch == "b":
-        sc.pos += 1
-        sc.take("[")
-        m = sc.number()
-        sc.take(",")
-        n = sc.number()
-        sc.take("]")
-        return Lit(Bicyclic(m, n), (start, sc.pos))
-    if ch == "z":
-        sc.pos += 1
-        sc.take("[")
-        k = sc.number(signed=True)
-        sc.take("]")
-        return Lit(k, (start, sc.pos))
-    if ch == "O":
-        sc.pos += 1
-        return Lit(ZERO, (start, sc.pos))
-    if ch == "i":
-        sc.skip_ws()
-        if sc.text[sc.pos:sc.pos + 2] == "id":
-            sc.pos += 2
-            return Lit(CofMap(), (start, sc.pos))
-    raise ParseError("expected an element, '(' or 'id'", (sc.pos, sc.pos + 1))
-
-
-def _parse_gaps(sc: _Scanner, closer: str) -> tuple:
-    if sc.peek() == closer:
-        return ()
-    start = sc.pos
-    gaps = [sc.number()]
-    while sc.peek() == ",":
-        sc.take(",")
-        gaps.append(sc.number())
+def _gaps(text: str, tok, group: int, open_end=False) -> tuple:
+    # The gap set of a gap list matched by _TOKEN; the span of a bad one
+    # runs from its first digit past the whitespace after its last.  With
+    # open_end, the match stopped after this list, maybe at a "," with no
+    # number after it.
+    s, e = tok.span(group)
+    gaps = tuple(map(int, map(_strip, text[s:e].split(","))))
+    if open_end:
+        at = _SPACE.match(text, e).end()
+        if text.startswith(",", at):
+            at = _SPACE.match(text, at + 1).end()
+            raise ParseError("expected a number", (at, at + 1))
     try:
         return gapset(gaps)
     except ValueError as exc:
-        raise ParseError(str(exc), (start, sc.pos)) from None
+        raise ParseError(str(exc), (s, _SPACE.match(text, e).end())) from None
+
+
+def _malformed(text: str, tok):
+    """Raise the error of an element that ``tok`` matched only in part.
+
+    The match stops where the element went wrong, and the last character
+    it took says what was expected there.  What the match did take is
+    checked first, in reading order: its numbers are converted (``int``
+    refuses very long ones), then its gap lists are checked, so a bad list
+    is reported before a missing separator after it.
+    """
+    end = tok.end()
+    at = _SPACE.match(text, end).end()
+    last = text[end - 1]
+    head = text[tok.start(1)]
+    if head == "m":
+        dom, ran = tok.group(2, 3)
+        after_dom = ran is not None or last == ";"
+        if dom:
+            _gaps(text, tok, 2, open_end=not after_dom)
+        if ran:
+            _gaps(text, tok, 3, open_end=True)
+        expected = ("']'" if ran else "a number" if after_dom or last == "["
+                    else "';'" if dom else "'['")
+    else:  # b[m,n] or z[k]
+        numbers = [int(x) for x in tok.group(5, 6, 8) if x]
+        full = len(numbers) == (2 if head == "b" else 1)
+        expected = "']'" if full else "a number" if last in ",[" else "','" if numbers else "'['"
+    raise ParseError(f"expected {expected}", (at, at + 1))
 
 
 def eval_expr(node):

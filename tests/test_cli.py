@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cofmap import Bicyclic, CofMap, IDENTITY, ZERO, adj_mul, compose, embed, zero_mul
 from cofmap.cli import (
@@ -23,6 +23,67 @@ from cofmap.cli import (
 from cofmap.selftest import two_row
 
 UP = CofMap((), (1,))
+
+# the pieces of the expression language, for strings that may not parse
+PIECES = ["m[", "b[", "z[", "id", "O", "(", ")", "*", "'", ";", ",", "]", "+", "-",
+          *"0123456789", " ", "\t", "²", "١", "m[;1]", "m[2;1,3]", "b[2,3]", "z[-7]"]
+
+# (text, str(ParseError)): at least one input for each place a parse error
+# is raised; the messages and spans are pinned byte for byte
+SYNTAX_ERRORS = [
+    # gap lists: entries, order, and which error comes first
+    ("m[3,2;]", "gap entries must be strictly increasing, got (3, 2) (at 2..5)"),
+    ("m[1,1;]", "gap entries must be strictly increasing, got (1, 1) (at 2..5)"),
+    ("m[0;]", "gap entries must be positive integers, got 0 (at 2..3)"),
+    ("m[;0]", "gap entries must be positive integers, got 0 (at 3..4)"),
+    ("m[;3,2]", "gap entries must be strictly increasing, got (3, 2) (at 3..6)"),
+    ("m[2, 1 ;]", "gap entries must be strictly increasing, got (2, 1) (at 2..7)"),
+    ("m[3,2 x", "gap entries must be strictly increasing, got (3, 2) (at 2..6)"),
+    ("m[3,2;x]", "gap entries must be strictly increasing, got (3, 2) (at 2..5)"),
+    ("m[;3,2 x", "gap entries must be strictly increasing, got (3, 2) (at 3..7)"),
+    # maps: brackets, separators, numbers
+    ("m 1", "expected '[' (at 2..3)"),
+    ("m[1 2;]", "expected ';' (at 4..5)"),
+    ("m[;1", "expected ']' (at 4..5)"),
+    ("m[1;2;]", "expected ']' (at 5..6)"),
+    ("m [ 1 , ;2]", "expected a number (at 8..9)"),
+    ("m[1,x;]", "expected a number (at 4..5)"),
+    ("m[0,;]", "expected a number (at 4..5)"),
+    ("m[;1,]", "expected a number (at 5..6)"),
+    ("m[;+1]", "expected a number (at 3..4)"),
+    # bicyclic elements
+    ("b 1", "expected '[' (at 2..3)"),
+    ("b[1]", "expected ',' (at 3..4)"),
+    ("b[1;2]", "expected ',' (at 3..4)"),
+    ("b[1,2,3]", "expected ']' (at 5..6)"),
+    ("b[1,2", "expected ']' (at 5..6)"),
+    ("b[x,1]", "expected a number (at 2..3)"),
+    ("b[ 1 , x]", "expected a number (at 7..8)"),
+    ("b[-1,2]", "expected a number (at 2..3)"),
+    # integers
+    ("z 1", "expected '[' (at 2..3)"),
+    ("z[1 2]", "expected ']' (at 4..5)"),
+    ("z[]", "expected a number (at 2..3)"),
+    ("z[- 5]", "expected a number (at 2..3)"),
+    ("z[+]", "expected a number (at 2..3)"),
+    # literal inversion of an integer or the zero
+    ("z[1]'", "integers and the zero have no inverse (at 4..5)"),
+    ("O'", "integers and the zero have no inverse (at 1..2)"),
+    ("(z[1])'", "integers and the zero have no inverse (at 6..7)"),
+    ("z[5] ' '", "integers and the zero have no inverse (at 5..6)"),
+    # terms, parentheses and the end of the input
+    ("q", "expected an element, '(' or 'id' (at 0..1)"),
+    ("i d", "expected an element, '(' or 'id' (at 0..1)"),
+    ("", "expected an element, '(' or 'id' (at 0..1)"),
+    ("  ", "expected an element, '(' or 'id' (at 2..3)"),
+    ("()", "expected an element, '(' or 'id' (at 1..2)"),
+    ("m[;1] *", "expected an element, '(' or 'id' (at 7..8)"),
+    ("m[;1]'' *", "expected an element, '(' or 'id' (at 9..10)"),
+    ("(m[;1]", "expected ')' (at 6..7)"),
+    ("id id", "trailing input (at 3..5)"),
+    ("m[;1] )", "trailing input (at 6..7)"),
+    ("m[;1]x", "trailing input (at 5..6)"),
+]
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -55,13 +116,32 @@ class TestParse:
         assert eval_expr(parse("m[;1] * m[1;]")) == IDENTITY
         assert eval_expr(parse("m[1;] * m[;1]")) == CofMap((1,), (1,))
 
-    @pytest.mark.parametrize(
-        "text",
-        ["m[3,2;]", "m[1,1;]", "m[0;]", "m[;1", "b[1]", "z[]", "q", "m[;1] *", "z[1]'", "O'", "id id"],
-    )
-    def test_syntax_errors(self, text):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("text,message", SYNTAX_ERRORS, ids=[t for t, _ in SYNTAX_ERRORS])
+    def test_syntax_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
             parse(text)
+        assert str(err.value) == message
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
+           st.sampled_from(("", "m[", "b[", "z[", "m[1,")))
+    def test_only_parse_errors(self, text, head):
+        text = head + text
+        # every string either parses, and its value round-trips through the
+        # printer, or raises ParseError with a span inside the text (an
+        # error at the end points one past it); the head makes an element
+        # that goes wrong inside its brackets likely
+        try:
+            node = parse(text)
+        except ParseError as exc:
+            start, end = exc.span
+            assert 0 <= start < end <= len(text) + 1
+            return
+        try:
+            v = eval_expr(node)
+        except ExprTypeError:
+            return
+        assert eval_expr(parse(render(v))) == v
 
     def test_error_position_reported(self):
         with pytest.raises(ParseError) as err:
@@ -145,6 +225,16 @@ class TestMainExitCodes:
 
     def test_literal_inversion_of_zero_is_parse_error(self, capsys):
         assert main(["eval", "z[1]'"]) == 2
+
+    @pytest.mark.parametrize("text", ["m[²;]", "b[²,1]", "z[²]"])
+    def test_non_decimal_digit_is_parse_error(self, capsys, text):
+        # str.isdigit accepts "²" but int does not; digits are decimal ones
+        assert main(["eval", text]) == 2
+        assert capsys.readouterr().err == "parse error: expected a number (at 2..3)\n"
+
+    def test_unicode_decimal_digits_are_numbers(self, capsys):
+        assert main(["eval", "m[١;١٢] * z[-١]"]) == 0
+        assert capsys.readouterr().out == "z[-1]\n"
 
     def test_domain_error_is_1(self, capsys):
         assert main(["leq", "nat", "m[;1]", "m[1;1]"]) == 1
