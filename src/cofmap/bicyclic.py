@@ -11,8 +11,6 @@ when their eventual shifts agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CofMap,
     _trusted,
@@ -28,7 +26,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
 class Bicyclic:
     """Normal form of a bicyclic-monoid element.
 
@@ -37,12 +34,32 @@ class Bicyclic:
     (0, 0) is the identity and the idempotents are exactly the (k, k).
     """
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+    __setattr__ = __delattr__ = CofMap.__setattr__  # immutable, like a map
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __new__(cls, m: int, n: int):
+        if type(m) is not int or type(n) is not int:  # bool and float print badly
+            raise ValueError(f"normal-form exponents must be integers, got {m!r}, {n!r}")
+        if m < 0 or n < 0:
             raise ValueError("normal-form exponents must be nonnegative")
+        x = object.__new__(Bicyclic)
+        _set_m(x, m)
+        _set_n(x, n)
+        return x
+
+    def __eq__(self, other):
+        if other.__class__ is not Bicyclic:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.m, self.n))
+
+    def __reduce__(self):
+        return Bicyclic, (self.m, self.n)
+
+    def __repr__(self) -> str:
+        return f"Bicyclic(m={self.m!r}, n={self.n!r})"
 
     def __mul__(self, other) -> "Bicyclic":
         if not isinstance(other, Bicyclic):
@@ -60,6 +77,7 @@ class Bicyclic:
         return {"m": self.m, "n": self.n}
 
 
+_set_m, _set_n = Bicyclic.m.__set__, Bicyclic.n.__set__
 BICYCLIC_IDENTITY = Bicyclic(0, 0)
 
 

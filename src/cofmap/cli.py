@@ -173,15 +173,13 @@ def parse(text: str):
             node = Lit(_trusted(_gaps(text, tok, 2) if dom else (),
                                 _gaps(text, tok, 3) if ran else ()), (start, pos))
         elif head == "b":
-            m, n, close = tok.group(5, 6, 7)
-            if close is None:
+            if tok.group(7) is None:
                 _malformed(text, tok)
-            node = Lit(Bicyclic(int(m), int(n)), (start, pos))
+            node = Lit(Bicyclic(_number(tok, 5), _number(tok, 6)), (start, pos))
         elif head == "z":
-            k, close = tok.group(8, 9)
-            if close is None:
+            if tok.group(9) is None:
                 _malformed(text, tok)
-            node = Lit(int(k), (start, pos))
+            node = Lit(_number(tok, 8), (start, pos))
         elif head == "(":
             if len(outer) == MAX_NESTING:
                 raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", (start, pos))
@@ -222,13 +220,24 @@ def parse(text: str):
             return node
 
 
+def _number(match, group: int) -> int:
+    try:
+        return int(match.group(group))
+    except ValueError:  # past the interpreter's digit limit, its guard against quadratic time
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number has more than {limit} digits", match.span(group)) from None
+
+
 def _gaps(text: str, tok, group: int, open_end=False) -> tuple:
     # The gap set of a gap list matched by _TOKEN; the span of a bad one
     # runs from its first digit past the whitespace after its last.  With
     # open_end, the match stopped after this list, maybe at a "," with no
     # number after it.
     s, e = tok.span(group)
-    gaps = tuple(map(int, map(_strip, text[s:e].split(","))))
+    try:
+        gaps = tuple(map(int, map(_strip, text[s:e].split(","))))
+    except ValueError:  # a number past int's digit limit: _number reports it
+        gaps = tuple(_number(n, 0) for n in re.compile(r"\d+").finditer(text, s, e))
     if open_end:
         at = _SPACE.match(text, e).end()
         if text.startswith(",", at):
@@ -263,7 +272,7 @@ def _malformed(text: str, tok):
         expected = ("']'" if ran else "a number" if after_dom or last == "["
                     else "';'" if dom else "'['")
     else:  # b[m,n] or z[k]
-        numbers = [int(x) for x in tok.group(5, 6, 8) if x]
+        numbers = [_number(tok, g) for g in (5, 6, 8) if tok.group(g)]
         full = len(numbers) == (2 if head == "b" else 1)
         expected = "']'" if full else "a number" if last in ",[" else "','" if numbers else "'['"
     raise ParseError(f"expected {expected}", (at, at + 1))

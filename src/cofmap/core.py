@@ -21,7 +21,6 @@ same convention.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 GapSet = tuple  # strictly increasing tuple of positive ints
 MAX_SEGMENT = 10**6  # longest initial segment {1..k} built as a gap set
@@ -32,7 +31,7 @@ def gapset(entries) -> GapSet:
     gaps = tuple(entries)
     last = 0
     for q in gaps:
-        if not isinstance(q, int) or q < 1:
+        if not isinstance(q, int) or q < 1 or q is True:  # bool: False fails q < 1
             raise ValueError(f"gap entries must be positive integers, got {q!r}")
         if q <= last:
             raise ValueError(f"gap entries must be strictly increasing, got {gaps!r}")
@@ -40,7 +39,15 @@ def gapset(entries) -> GapSet:
     return gaps
 
 
-@dataclass(frozen=True)
+def _trusted(dom_gaps: GapSet, ran_gaps: GapSet) -> CofMap:
+    # Build a map from gap tuples that are valid by construction, skipping
+    # the checks of CofMap(...); input from outside never comes through here.
+    g = object.__new__(CofMap)
+    _set_dom(g, dom_gaps)
+    _set_ran(g, ran_gaps)
+    return g
+
+
 class CofMap:
     """A cofinite monotone partial bijection of {1, 2, 3, ...}.
 
@@ -51,12 +58,26 @@ class CofMap:
     is equality of the pairs.  Instances are immutable and hashable.
     """
 
-    dom_gaps: GapSet = ()
-    ran_gaps: GapSet = ()
+    __slots__ = ("dom_gaps", "ran_gaps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dom_gaps", gapset(self.dom_gaps))
-        object.__setattr__(self, "ran_gaps", gapset(self.ran_gaps))
+    def __setattr__(self, name, *value):  # fields are set once, through their slot descriptors
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __new__(cls, dom_gaps=(), ran_gaps=()):
+        return _trusted(gapset(dom_gaps), gapset(ran_gaps))
+
+    def __eq__(self, other):
+        if other.__class__ is not CofMap:
+            return NotImplemented
+        return self.dom_gaps == other.dom_gaps and self.ran_gaps == other.ran_gaps
+
+    def __hash__(self):
+        return hash((self.dom_gaps, self.ran_gaps))
+
+    def __reduce__(self):
+        return CofMap, (self.dom_gaps, self.ran_gaps)
 
     def __call__(self, n: int) -> int | None:
         return evaluate(self, n)
@@ -73,16 +94,8 @@ class CofMap:
         return f"CofMap({list(self.dom_gaps)}, {list(self.ran_gaps)})"
 
 
+_set_dom, _set_ran = CofMap.dom_gaps.__set__, CofMap.ran_gaps.__set__
 IDENTITY = CofMap()
-
-
-def _trusted(dom_gaps: GapSet, ran_gaps: GapSet) -> CofMap:
-    # Build a map from gap tuples that are valid by construction, skipping
-    # the checks of CofMap(...); input from outside never comes through here.
-    g = object.__new__(CofMap)
-    object.__setattr__(g, "dom_gaps", dom_gaps)
-    object.__setattr__(g, "ran_gaps", ran_gaps)
-    return g
 
 
 def _unrank(gaps: GapSet, r: int) -> int:

@@ -1,5 +1,8 @@
 """Bicyclic normal forms, the standard copy, and the tail constructions."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +55,12 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             Bicyclic(-1, 0)
 
+    @pytest.mark.parametrize("m,n", [(1.5, 0), (True, 0), (0, False), ("1", 0), (None, 1)])
+    def test_rejects_exponents_that_are_not_ints(self, m, n):
+        # b[1.5,0] and b[True,0] would not parse back
+        with pytest.raises(ValueError, match="^normal-form exponents must be integers"):
+            Bicyclic(m, n)
+
     @given(bicyclics, bicyclics)
     def test_matches_word_rewriting(self, x, y):
         assert (x * y) == Bicyclic(*rewrite_product(x.m, x.n, y.m, y.n))
@@ -65,6 +74,35 @@ class TestNormalForm:
         assert x * x.inverse() * x == x
         assert (x * x.inverse()).is_idempotent()
         assert x.is_idempotent() == (x.m == x.n)
+
+
+class TestValueType:
+    X = Bicyclic(1, 2)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        x = self.X
+        with pytest.raises(AttributeError):
+            x.m = 0
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        with pytest.raises(AttributeError):
+            del x.n
+        assert x == Bicyclic(1, 2)
+
+    def test_pickle_and_copy(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(self.X, protocol)) == self.X
+        assert copy.copy(self.X) == self.X
+        assert copy.deepcopy(self.X) == self.X
+
+    def test_equality_and_hash(self):
+        assert self.X != (1, 2)
+        assert self.X != embed(self.X)
+        assert hash(self.X) == hash((1, 2))
+
+    def test_repr(self):
+        assert repr(self.X) == "Bicyclic(m=1, n=2)"
+        assert repr(Bicyclic(m=0, n=0)) == "Bicyclic(m=0, n=0)"
 
 
 class TestEmbedding:

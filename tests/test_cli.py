@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cofmap
 from cofmap import Bicyclic, CofMap, IDENTITY, ZERO, adj_mul, compose, embed, zero_mul
 from cofmap.cli import (
     ExprTypeError,
@@ -27,6 +29,10 @@ UP = CofMap((), (1,))
 # the pieces of the expression language, for strings that may not parse
 PIECES = ["m[", "b[", "z[", "id", "O", "(", ")", "*", "'", ";", ",", "]", "+", "-",
           *"0123456789", " ", "\t", "²", "١", "m[;1]", "m[2;1,3]", "b[2,3]", "z[-7]"]
+
+# a number longer than int's default digit limit (4,300), which int refuses
+BIG = "9" * 5000
+TOO_LONG = "number has more than 4300 digits"
 
 # (text, str(ParseError)): at least one input for each place a parse error
 # is raised; the messages and spans are pinned byte for byte
@@ -83,6 +89,20 @@ SYNTAX_ERRORS = [
     ("id id", "trailing input (at 3..5)"),
     ("m[;1] )", "trailing input (at 6..7)"),
     ("m[;1]x", "trailing input (at 5..6)"),
+    # numbers past the digit limit, in each place a number is read
+    (f"z[{BIG}]", f"{TOO_LONG} (at 2..5002)"),
+    (f"z[-{BIG}]", f"{TOO_LONG} (at 2..5003)"),
+    (f"z[{BIG}", f"{TOO_LONG} (at 2..5002)"),
+    (f"b[{BIG},1]", f"{TOO_LONG} (at 2..5002)"),
+    (f"b[1, {BIG}]", f"{TOO_LONG} (at 5..5005)"),
+    (f"b[1,{BIG}", f"{TOO_LONG} (at 4..5004)"),
+    (f"m[{BIG};]", f"{TOO_LONG} (at 2..5002)"),
+    (f"m[;1, {BIG}]", f"{TOO_LONG} (at 6..5006)"),
+    (f"m[1,{BIG}", f"{TOO_LONG} (at 4..5004)"),
+    (f"m[;{BIG}", f"{TOO_LONG} (at 3..5003)"),
+    # a list's numbers are read before its order is checked
+    (f"m[3,2,{BIG};]", f"{TOO_LONG} (at 6..5006)"),
+    (f"m[3,2;{BIG}]", "gap entries must be strictly increasing, got (3, 2) (at 2..5)"),
 ]
 
 
@@ -116,7 +136,7 @@ class TestParse:
         assert eval_expr(parse("m[;1] * m[1;]")) == IDENTITY
         assert eval_expr(parse("m[1;] * m[;1]")) == CofMap((1,), (1,))
 
-    @pytest.mark.parametrize("text,message", SYNTAX_ERRORS, ids=[t for t, _ in SYNTAX_ERRORS])
+    @pytest.mark.parametrize("text,message", SYNTAX_ERRORS, ids=[t.replace(BIG, "<5000 nines>") for t, _ in SYNTAX_ERRORS])
     def test_syntax_errors(self, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -231,6 +251,10 @@ class TestMainExitCodes:
         # str.isdigit accepts "²" but int does not; digits are decimal ones
         assert main(["eval", text]) == 2
         assert capsys.readouterr().err == "parse error: expected a number (at 2..3)\n"
+
+    def test_number_past_the_digit_limit_is_parse_error(self, capsys):
+        assert main(["eval", f"m[;1] * z[{BIG}]"]) == 2
+        assert capsys.readouterr().err == f"parse error: {TOO_LONG} (at 10..5010)\n"
 
     def test_unicode_decimal_digits_are_numbers(self, capsys):
         assert main(["eval", "m[١;١٢] * z[-١]"]) == 0
@@ -381,13 +405,18 @@ class TestIO:
         assert (r.returncode, r.stdout) == (0, b"m[1,4;2,5]\n")
 
     def test_env_var_switches_default_mode(self):
-        import os
-
         env = dict(os.environ, COFMAP_OUTPUT="json")
         r = run_cli("green", "R", "m[;1]", "m[;2]", env=env)
         assert (r.returncode, r.stdout) == (0, b"true\n")
         r = run_cli("eval", "m[1;2]", env=env)
         assert json.loads(r.stdout) == {"dom_gaps": [1], "ran_gaps": [2]}
+
+    def test_startup_imports_neither_dataclasses_nor_selftest(self):
+        # only the selftest and stability commands import cofmap.selftest
+        code = "import sys, cofmap.cli; print(sorted({'dataclasses', 'cofmap.selftest'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cofmap.__file__)))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (r.returncode, r.stdout) == (0, "[]\n")
 
     def test_selftest_smoke(self, capsys):
         assert main(["selftest", "--cases", "40", "--seed", "3"]) == 0

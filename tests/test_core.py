@@ -1,5 +1,7 @@
 """Core algebra: construction, evaluation, composition, inverses, orders."""
 
+import copy
+import pickle
 import random
 from itertools import combinations, islice
 
@@ -110,10 +112,55 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CofMap(bad, ())
 
+    @pytest.mark.parametrize("bad", [(True,), (1, True), (2, True)])
+    def test_bool_entries_rejected(self, bad):
+        # True == 1, but it would render as m[True;], which does not parse
+        for args in ((bad, ()), ((), bad)):
+            with pytest.raises(ValueError, match="^gap entries must be positive integers, got True$"):
+                CofMap(*args)
+
     def test_equality_is_structural(self):
         assert CofMap((1,), (2,)) == CofMap((1,), (2,))
         assert CofMap((1,), (2,)) != CofMap((1,), (3,))
         assert len({CofMap((1,), (2,)), CofMap((1,), (2,))}) == 1
+
+
+class TestValueType:
+    G = CofMap((1, 3), (2,))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        g = self.G
+        with pytest.raises(AttributeError):
+            g.dom_gaps = ()
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        with pytest.raises(AttributeError):
+            del g.ran_gaps
+        assert g == CofMap((1, 3), (2,))
+
+    def test_pickle_and_copy(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(self.G, protocol)) == self.G
+        assert copy.copy(self.G) == self.G
+        assert copy.deepcopy(self.G) == self.G
+
+    def test_not_equal_to_its_gap_tuples(self):
+        assert CofMap((1,), ()) != ((1,), ())
+        assert ((1,), ()) != CofMap((1,), ())
+
+    def test_hash_is_the_hash_of_the_gap_pair(self):
+        # keeps set and dict orders, and so the printed output, as they were
+        assert hash(self.G) == hash(((1, 3), (2,)))
+        assert hash(IDENTITY) == hash(((), ()))
+
+    def test_repr(self):
+        assert repr(self.G) == "CofMap([1, 3], [2])"
+        assert repr(IDENTITY) == "CofMap([], [])"
+
+    def test_keyword_and_default_construction(self):
+        assert CofMap(dom_gaps=[1], ran_gaps=[]) == CofMap((1,), ())
+        assert CofMap(dom_gaps=[1], ran_gaps=[]).dom_gaps == (1,)
+        assert CofMap() == IDENTITY
 
 
 class TestEvaluate:
