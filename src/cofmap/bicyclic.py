@@ -73,9 +73,6 @@ class Bicyclic:
     def is_idempotent(self) -> bool:
         return self.m == self.n
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "n": self.n}
-
 
 _set_m, _set_n = Bicyclic.m.__set__, Bicyclic.n.__set__
 BICYCLIC_IDENTITY = Bicyclic(0, 0)

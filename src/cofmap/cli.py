@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from itertools import islice
@@ -69,13 +68,11 @@ from .core import (
     natural_leq,
     shift,
     shift_threshold,
-    to_dict,
 )
 from .extensions import (
     ZERO,
     AdjoinedZero,
     adj_mul,
-    element_to_dict,
     in_adj_nbhd,
     in_zero_nbhd,
     zero_mul,
@@ -86,7 +83,6 @@ from .green import (
     simplicity_witness, solve_left, solve_right,
 )
 
-OUTPUT_MODE_ENV = "COFMAP_OUTPUT"  # set to "json" to default to --json
 # evaluation recurses once per level of parentheses, so this keeps it far
 # inside the interpreter's recursion limit
 MAX_NESTING = 100
@@ -346,12 +342,16 @@ def render(v) -> str:
     return f"z[{v}]"
 
 
-def value_to_jsonable(v):
+def to_json(v):
+    """JSON form: a map's two gap lists, a bicyclic normal form's exponents,
+    and a ``kind`` tag for the zero and the integers."""
     if isinstance(v, CofMap):
-        return to_dict(v)
+        return {"dom_gaps": list(v.dom_gaps), "ran_gaps": list(v.ran_gaps)}
     if isinstance(v, Bicyclic):
-        return v.to_dict()
-    return element_to_dict(v)
+        return {"m": v.m, "n": v.n}
+    if isinstance(v, AdjoinedZero):
+        return {"kind": "zero"}
+    return {"kind": "int", "value": v}
 
 
 def two_row_preview(g: CofMap, k: int) -> list[str]:
@@ -404,12 +404,6 @@ EXPR, FIRST, SECOND = ("expr", MAP), ("first", MAP), ("second", MAP)
 
 
 # -- the functions of the commands that have no single library call ---------
-
-def _apply(g, point):
-    if point < 1:
-        raise ValueError("maps act on positive integers")
-    return evaluate(g, point)
-
 
 def _shift_index(v):
     if isinstance(v, AdjoinedZero):
@@ -473,7 +467,7 @@ def _scalar(v, args):
 def _element(v, args):
     """One element, or none."""
     if args.json:
-        return None if v is None else value_to_jsonable(v)
+        return None if v is None else to_json(v)
     return ["absent"] if v is None else _lines(v, args.rows)
 
 
@@ -481,7 +475,7 @@ def _labelled(*labels):
     """A tuple of elements, one per label."""
     def shape(values, args):
         if args.json:
-            return {k: value_to_jsonable(v) for k, v in zip(labels, values)}
+            return {k: to_json(v) for k, v in zip(labels, values)}
         return [line for k, v in zip(labels, values) for line in _lines(v, args.rows, k)]
     return shape
 
@@ -505,12 +499,15 @@ class _Listing:
         if args.limit is None and self.max_gaps is not None and count > 2 ** self.max_gaps:
             raise ValueError(f"{args.command} would list {count} {self.noun}; at most "
                              f"{self.max_gaps} gaps unless --count or --limit is given")
-        if args.json and solutions:
-            return v.to_dict(args.limit)
         shown = islice(members, args.limit)
-        if args.json:
-            return [to_dict(e) for e in shown]
-        return [f"{count} {self.noun}", *(line for e in shown for line in _lines(e, args.rows))]
+        if not args.json:
+            return [f"{count} {self.noun}", *(line for e in shown for line in _lines(e, args.rows))]
+        listed = [to_json(e) for e in shown]
+        if solutions:
+            return {"equation": {"side": v.side, "factor": to_json(v.factor),
+                                 "target": to_json(v.target)},
+                    "solutions": listed}
+        return listed
 
 
 def _congruence(result, args):
@@ -547,7 +544,7 @@ def _selftest_report(report, args):
 # in order.
 COMMANDS = {
     "eval": ("evaluate an expression", [("expr", str)], ELEM, _element),
-    "apply": ("apply a map expression to a point", [EXPR, ("point", int)], _apply, _scalar),
+    "apply": ("apply a map expression to a point", [EXPR, ("point", int)], evaluate, _scalar),
     "f": ("eventual shift index of an element", [("expr", ELEM)], _shift_index, _scalar),
     "tail": ("threshold past which the map is a pure shift", [EXPR], shift_threshold, _scalar),
     "green": ("test a Green relation", [("relation", CHOICE), FIRST, SECOND],
@@ -617,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.json = args.json or os.environ.get(OUTPUT_MODE_ENV, "text").strip().lower() == "json"
     _, arguments, fn, shape = COMMANDS[args.command]
     try:
         values = []
@@ -628,17 +624,17 @@ def main(argv=None) -> int:
             else:
                 values.append(kind(text))
         result = fn(*values)
-        output = shape(result, args)
+        shown = shape(result, args)
+        output = json.dumps(shown, separators=(",", ":")) if args.json else "\n".join(shown)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # str() or json.dumps of a too long int
+            exc = f"result has a number with more than {sys.get_int_max_str_digits()} digits"
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(output, separators=(",", ":")))
-    else:
-        print(*output, sep="\n")
+    print(output)
     # only stability and selftest report failures; they exit 1 after printing them
     return 1 if getattr(result, "failed", 0) else 0
 

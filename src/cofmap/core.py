@@ -334,12 +334,3 @@ def up_set(e: CofMap) -> list[CofMap]:
     """All idempotents above ``e`` in the natural order, as a list sorted by
     gap set (see :func:`iter_up_set`)."""
     return list(iter_up_set(e))
-
-
-def to_dict(g: CofMap) -> dict:
-    """JSON form: {"dom_gaps": [...], "ran_gaps": [...]}."""
-    return {"dom_gaps": list(g.dom_gaps), "ran_gaps": list(g.ran_gaps)}
-
-
-def from_dict(d: dict) -> CofMap:
-    return CofMap(tuple(d["dom_gaps"]), tuple(d["ran_gaps"]))

@@ -10,7 +10,7 @@ extension of the anchor map".
 
 from __future__ import annotations
 
-from .core import CofMap, canonical_leq, compose, shift, to_dict, from_dict
+from .core import CofMap, canonical_leq, compose, shift
 
 
 class AdjoinedZero:
@@ -92,25 +92,3 @@ def zero_stability_bound(i: int, a: CofMap) -> int:
     if i < 1:
         raise ValueError("neighborhood index must be >= 1")
     return i + max(len(a.dom_gaps), len(a.ran_gaps))
-
-
-def element_to_dict(x) -> dict:
-    """Tagged JSON form for elements of either enlargement."""
-    if isinstance(x, AdjoinedZero):
-        return {"kind": "zero"}
-    if isinstance(x, CofMap):
-        return {"kind": "map", **to_dict(x)}
-    if isinstance(x, int):
-        return {"kind": "int", "value": x}
-    raise TypeError(f"not an element of an enlargement: {x!r}")
-
-
-def element_from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "zero":
-        return ZERO
-    if kind == "int":
-        return int(d["value"])
-    if kind == "map":
-        return from_dict(d)
-    raise ValueError(f"unknown element kind: {kind!r}")

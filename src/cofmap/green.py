@@ -17,7 +17,7 @@ binary search a block) and list nothing; ``x in solutions`` is one
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations, islice, repeat
+from itertools import combinations, repeat
 from math import comb
 
 from .core import (
@@ -29,7 +29,6 @@ from .core import (
     compose,
     invert,
     require_idempotent,
-    to_dict,
 )
 
 
@@ -226,17 +225,6 @@ class SolutionSet:
 
     def __repr__(self) -> str:
         return f"SolutionSet({self.side!r}, {self.factor!r}, {self.target!r}, count={self.count})"
-
-    def to_dict(self, limit: int | None = None) -> dict:
-        """JSON form, listing the first ``limit`` solutions (all by default)."""
-        return {
-            "equation": {
-                "side": self.side,
-                "factor": to_dict(self.factor),
-                "target": to_dict(self.target),
-            },
-            "solutions": [to_dict(s) for s in islice(self, limit)],
-        }
 
 
 def solve_right(a: CofMap, b: CofMap) -> SolutionSet:

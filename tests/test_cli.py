@@ -106,9 +106,9 @@ SYNTAX_ERRORS = [
 ]
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None):
     cmd = [sys.executable, "-m", "cofmap", *args]
-    return subprocess.run(cmd, input=stdin, capture_output=True, env=env)
+    return subprocess.run(cmd, input=stdin, capture_output=True)
 
 
 class TestParse:
@@ -255,6 +255,22 @@ class TestMainExitCodes:
     def test_number_past_the_digit_limit_is_parse_error(self, capsys):
         assert main(["eval", f"m[;1] * z[{BIG}]"]) == 2
         assert capsys.readouterr().err == f"parse error: {TOO_LONG} (at 10..5010)\n"
+
+    # every number here has 4,300 digits, but tail and the product add 1 to one
+    @pytest.mark.parametrize("argv", [
+        argv + flags
+        for argv in (["tail", f"m[{'9' * 4300};]"], ["eval", f"m[;{'9' * 4300}] * m[;1]"])
+        for flags in ([], ["--json"])
+    ], ids=lambda argv: " ".join([argv[0], *argv[2:]]))
+    def test_result_past_the_digit_limit_is_1(self, capsys, argv):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: result has a number with more than 4300 digits\n")
+
+    @pytest.mark.parametrize("argv", [["apply", "m[;1]", "0"], ["apply", "m[;1]", "--", "-4"]])
+    def test_apply_outside_the_positive_integers_is_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: maps act on positive integers\n"
 
     def test_unicode_decimal_digits_are_numbers(self, capsys):
         assert main(["eval", "m[١;١٢] * z[-١]"]) == 0
@@ -404,13 +420,6 @@ class TestIO:
         r = run_cli("eval", "-", stdin=b"m[1,4;2] * m[;5]")
         assert (r.returncode, r.stdout) == (0, b"m[1,4;2,5]\n")
 
-    def test_env_var_switches_default_mode(self):
-        env = dict(os.environ, COFMAP_OUTPUT="json")
-        r = run_cli("green", "R", "m[;1]", "m[;2]", env=env)
-        assert (r.returncode, r.stdout) == (0, b"true\n")
-        r = run_cli("eval", "m[1;2]", env=env)
-        assert json.loads(r.stdout) == {"dom_gaps": [1], "ran_gaps": [2]}
-
     def test_startup_imports_neither_dataclasses_nor_selftest(self):
         # only the selftest and stability commands import cofmap.selftest
         code = "import sys, cofmap.cli; print(sorted({'dataclasses', 'cofmap.selftest'} & set(sys.modules)))"
@@ -436,6 +445,8 @@ GOLDEN = [
      "m[1,2,3;1,2,3]\n",
      '{"dom_gaps":[1,2,3],"ran_gaps":[1,2,3]}\n',
      "m[1,2,3;1,2,3]\n( 4 5 6 ... )\n( 4 5 6 ... )\n"),
+    (["eval", "z[2] * m[;1]"], "z[3]\n", '{"kind":"int","value":3}\n', "z[3]\n"),
+    (["eval", "O"], "O\n", '{"kind":"zero"}\n', "O\n"),
     (["apply", "m[2;1,3] * m[;1]", "3"], "5\n", "5\n", "5\n"),
     (["f", "b[2,0] * m[1;]"], "-3\n", "-3\n", "-3\n"),
     (["tail", "m[1,2,3;5]"], "8\n", "8\n", "8\n"),

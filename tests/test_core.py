@@ -16,7 +16,6 @@ from cofmap import (
     compose,
     dom_tail_start,
     evaluate,
-    from_dict,
     gapset,
     initial_segment,
     invert,
@@ -29,9 +28,9 @@ from cofmap import (
     shift_threshold,
     tail_identity,
     tail_start,
-    to_dict,
     up_set,
 )
+from cofmap.cli import to_json
 from cofmap.selftest import two_row, two_row_compose
 
 UP = CofMap((), (1,))   # n -> n + 1
@@ -475,9 +474,4 @@ class TestInitialSegment:
 class TestJson:
     def test_schema(self):
         g = CofMap((1, 3), (2,))
-        assert to_dict(g) == {"dom_gaps": [1, 3], "ran_gaps": [2]}
-        assert from_dict(to_dict(g)) == g
-
-    @given(cofmaps)
-    def test_round_trip(self, g):
-        assert from_dict(to_dict(g)) == g
+        assert to_json(g) == {"dom_gaps": [1, 3], "ran_gaps": [2]}

@@ -202,18 +202,6 @@ class TestSolve:
         for sols in (solve_right(a, b), solve_left(a, b)):
             assert sols.count == len(sols) == len(list(sols))
 
-    def test_json_shape(self):
-        d = solve_right(UP, UP).to_dict()
-        assert d["equation"] == {
-            "side": "right",
-            "factor": {"dom_gaps": [], "ran_gaps": [1]},
-            "target": {"dom_gaps": [], "ran_gaps": [1]},
-        }
-        assert d["solutions"] == [
-            {"dom_gaps": [], "ran_gaps": []},
-            {"dom_gaps": [1], "ran_gaps": [1]},
-        ]
-
 
 # (factor, target) of right equations whose solutions split into two or three
 # blocks, with barred points inside a block, gaps shared by every solution
