@@ -12,6 +12,7 @@ when their eventual shifts agree.
 from __future__ import annotations
 
 from .core import (
+    MAX_SEGMENT,
     CofMap,
     _trusted,
     compose,
@@ -121,6 +122,17 @@ def fresh_bicyclic(e: CofMap) -> tuple[CofMap, CofMap, CofMap]:
     return _trusted(base, base), up, invert(up)
 
 
+def _tail_segment(g: CofMap) -> tuple[int, int, tuple]:
+    """``g``'s shift threshold ``t``, its shift ``f``, and the segment
+    {1..T-1} for ``T = t + max(0, f)``; the gap sets of the standard-copy
+    stand-ins are slices of it, or extend it."""
+    t = shift_threshold(g)
+    f = shift(g)
+    # the error names the first gap set too long: mu's domain gaps {1..t-1},
+    # else {1..T-1}
+    return t, f, initial_segment(t - 1 if t - 1 > MAX_SEGMENT else t - 1 + max(0, f))
+
+
 def tail_projection(g: CofMap) -> tuple[CofMap, CofMap]:
     """Standard-copy stand-in for ``g`` plus the tail idempotent gluing them.
 
@@ -128,11 +140,8 @@ def tail_projection(g: CofMap) -> tuple[CofMap, CofMap]:
     identity, and ``g * eps == mu * eps`` as well as ``eps * g == eps * mu``.
     ``mu`` is the pure shift that agrees with ``g`` past its threshold.
     """
-    t = shift_threshold(g)
-    f = shift(g)
-    mu = _trusted(initial_segment(t - 1), initial_segment(t + f - 1))
-    eps = tail_identity(t + max(0, f))
-    return mu, eps
+    t, f, seg = _tail_segment(g)
+    return _trusted(seg[:t - 1], seg[:t + f - 1]), _trusted(seg, seg)
 
 
 def absorbing_idempotent(e: CofMap) -> tuple[CofMap, CofMap]:
@@ -154,11 +163,22 @@ def conjugation_witness(g: CofMap) -> tuple[CofMap, CofMap, CofMap]:
     """Tail idempotent whose two conjugates under ``g`` stay standard.
 
     Returns ``(eps, g * eps * g.inverse(), g.inverse() * eps * g)``; both
-    conjugates are idempotents of the standard copy.
+    conjugates are idempotents of the standard copy.  With ``t`` the shift
+    threshold, ``f`` the shift and ``eps = tail_identity(T)`` for
+    ``T = t + max(0, f)``, they are ``tail_identity(T - f)`` and
+    ``tail_identity(T + f)``, built without composing: from ``t`` on ``g``
+    is the pure shift ``x -> x + f``, and below ``t`` its values stay below
+    ``t + f <= T``.  So ``g * eps * g.inverse()`` is defined exactly where
+    ``x + f >= T`` and fixes those points, and ``g.inverse() * eps * g``
+    exactly on the image ``{T + f, T + f + 1, ...}`` of ``eps``'s tail.
+    The longer conjugate may pass ``MAX_SEGMENT`` points, as a product may.
     """
-    _, eps = tail_projection(g)
-    gi = invert(g)
-    return eps, compose(compose(g, eps), gi), compose(compose(gi, eps), g)
+    _, f, seg = _tail_segment(g)
+    k, a = len(seg), abs(f)
+    near = seg[:k - a]  # {1..T-|f|-1}
+    far = seg + tuple(range(k + 1, k + 1 + a))  # {1..T+|f|-1}
+    eps, near, far = _trusted(seg, seg), _trusted(near, near), _trusted(far, far)
+    return (eps, near, far) if f >= 0 else (eps, far, near)
 
 
 def group_congruent(a: CofMap, b: CofMap) -> bool:

@@ -26,12 +26,12 @@ absorbs maps.  Integers and the zero do not mix with each other.
 
 Limits: product chains and runs of primes may be of any length, but
 parentheses nest at most ``MAX_NESTING`` (100) deep; deeper input is a
-parse error with a span.  ``upset`` lists 2**n idempotents for an
-idempotent with n gaps, so it refuses more than ``UPSET_MAX_GAPS`` (16)
-unless ``--count`` or ``--limit`` asks for less than the whole list.
-``solve`` and ``upset`` take ``--count`` (print the number of members
-only) and ``--limit N`` (print the first N members in order).  ``--rows``
-is at most ``MAX_ROWS``.
+parse error with a span.  ``solve`` and ``upset`` take ``--count``
+(print the number of members only) and ``--limit N`` (print the first N
+members in order).  Their answers can be exponentially long (``upset``
+lists 2**n idempotents for an idempotent with n gaps), so without either
+option they refuse to list more than 2**``LISTING_LIMIT_LOG2`` (2**16)
+members.  ``--rows`` is at most ``MAX_ROWS``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .green import (
 # evaluation recurses once per level of parentheses, so this keeps it far
 # inside the interpreter's recursion limit
 MAX_NESTING = 100
-UPSET_MAX_GAPS = 16  # 2**16 idempotents; 30 gaps would build 2**30 maps
+LISTING_LIMIT_LOG2 = 16  # 2**16 members at most in a full listing, built before printing
 MAX_ROWS = 1000  # columns of a --rows preview
 
 
@@ -485,20 +485,21 @@ class _Listing:
     for a solution set gives its equation too.  The result is a
     :class:`SolutionSet` or a ``(count, members)`` pair, members in order;
     only ``--limit`` of them are taken, and ``--count`` prints the count
-    alone.  With ``max_gaps`` set, the members are the 2**n subsets of n
-    gaps, and the whole list is refused for n > max_gaps."""
+    alone.  A whole list of more than 2**``LISTING_LIMIT_LOG2`` members is
+    refused."""
 
-    def __init__(self, noun, max_gaps=None):
-        self.noun, self.max_gaps = noun, max_gaps
+    def __init__(self, noun):
+        self.noun = noun
 
     def __call__(self, v, args):
         solutions = isinstance(v, SolutionSet)
         count, members = (v.count, v) if solutions else v
         if args.count:
             return _scalar(count, args)
-        if args.limit is None and self.max_gaps is not None and count > 2 ** self.max_gaps:
-            raise ValueError(f"{args.command} would list {count} {self.noun}; at most "
-                             f"{self.max_gaps} gaps unless --count or --limit is given")
+        if args.limit is None and count > 2 ** LISTING_LIMIT_LOG2:
+            # the count itself may pass the digit limit of str(), so it is not shown
+            raise ValueError(f"{args.command} would list more than 2**{LISTING_LIMIT_LOG2} "
+                             f"{self.noun}; give --count or --limit")
         shown = islice(members, args.limit)
         if not args.json:
             return [f"{count} {self.noun}", *(line for e in shown for line in _lines(e, args.rows))]
@@ -557,8 +558,7 @@ COMMANDS = {
     "solve": ("all x with A*x == B (right) or x*A == B (left)",
               [("side", CHOICE), ("factor", MAP), ("target", MAP)],
               {"right": solve_right, "left": solve_left}, _Listing("solution(s)")),
-    "upset": ("all idempotents above an idempotent", [EXPR], _upset,
-              _Listing("idempotent(s)", UPSET_MAX_GAPS)),
+    "upset": ("all idempotents above an idempotent", [EXPR], _upset, _Listing("idempotent(s)")),
     "bc-member": ("normal form in the standard bicyclic copy", [EXPR], as_bicyclic, _element),
     "fresh-bicyclic": ("bicyclic copy below an idempotent, disjoint from the standard one", [EXPR],
                        fresh_bicyclic, _labelled("unity", "up", "down")),

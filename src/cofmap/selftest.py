@@ -95,10 +95,12 @@ def all_gapsets(max_gap: int) -> list[tuple]:
     )
 
 
-def all_cofmaps(max_gap: int) -> list[CofMap]:
-    """Every map whose gap sets fit inside [1, max_gap] (4**max_gap maps)."""
+@functools.cache
+def all_cofmaps(max_gap: int) -> tuple[CofMap, ...]:
+    """Every map whose gap sets fit inside [1, max_gap] (4**max_gap maps),
+    built once and shared by every check that searches it."""
     subs = all_gapsets(max_gap)
-    return [CofMap(d, r) for d in subs for r in subs]
+    return tuple(CofMap(d, r) for d in subs for r in subs)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -457,6 +459,9 @@ def _(rng, cases):
         for c in (left, right):
             if not is_idempotent(c) or as_bicyclic(c) is None:
                 bad += 1
+        gi = invert(g)
+        if left != compose(compose(g, eps), gi) or right != compose(compose(gi, eps), g):
+            bad += 1
     return bad
 
 

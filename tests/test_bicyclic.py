@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from cofmap import (
     Bicyclic,
     CofMap,
     IDENTITY,
+    MAX_SEGMENT,
     SHIFT_DOWN,
     SHIFT_UP,
     absorbing_idempotent,
@@ -243,6 +245,38 @@ class TestConjugationWitness:
         for c in (left, right):
             assert is_idempotent(c)
             assert as_bicyclic(c) is not None
+
+    @pytest.mark.parametrize("g", [
+        CofMap(tuple(range(2, 2001, 2)), tuple(range(3, 4501, 3))),  # shift 500
+        CofMap(tuple(range(3, 4501, 3)), tuple(range(2, 2001, 2))),  # shift -500
+        CofMap(tuple(range(1, 1201)), tuple(range(5, 6001, 5))),     # shift 0
+    ])
+    def test_wide_maps_match_composition(self, g):
+        eps, left, right = conjugation_witness(g)
+        gi = invert(g)
+        assert eps == tail_projection(g)[1]
+        assert left == compose(compose(g, eps), gi)
+        assert right == compose(compose(gi, eps), g)
+
+    def test_longer_conjugate_is_not_capped(self):
+        # {1..T-1} is 600,000 points, within the cap; the right conjugate
+        # needs 1,200,000, like the product g' * eps * g it equals
+        eps, left, right = conjugation_witness(CofMap((), tuple(range(1, 600_001))))
+        assert eps == tail_identity(600_001)
+        assert left == IDENTITY
+        assert right.dom_gaps == right.ran_gaps == tuple(range(1, 1_200_001))
+
+
+class TestSegmentCap:
+    # an idempotent m[1..k;1..k] needs the tail identity past k, {1..k} as gaps
+    @pytest.mark.parametrize("construction", [tail_projection, conjugation_witness])
+    def test_returns_at_the_cap_and_raises_past_it(self, construction):
+        at_cap = tuple(range(1, MAX_SEGMENT + 1))
+        e = CofMap(at_cap, at_cap)
+        assert all(w == e for w in construction(e))
+        past = at_cap + (MAX_SEGMENT + 1,)
+        with pytest.raises(ValueError, match=re.escape(f"{{1..{MAX_SEGMENT + 1}}}")):
+            construction(CofMap(past, past))
 
 
 class TestGroupCongruence:

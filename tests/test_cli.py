@@ -645,6 +645,10 @@ class TestChains:
             assert eval_expr(parse(text)) == functools.reduce(reference_mul, values)
 
 
+def _segment_text(k):
+    return ",".join(map(str, range(1, k + 1)))
+
+
 class TestUpsetLimit:
     def test_refuses_more_than_sixteen_gaps(self, capsys):
         gaps = ",".join(map(str, range(1, 18)))
@@ -657,9 +661,26 @@ class TestUpsetLimit:
         assert main(["upset", f"m[{gaps};]"]) == 1
         assert "not an idempotent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,noun", [
+        # 2**14286 has more digits than str() prints by default
+        (["upset", f"m[{_segment_text(14_286)};{_segment_text(14_286)}]"], "idempotent(s)"),
+        (["upset", f"m[{_segment_text(14_286)};{_segment_text(14_286)}]", "--json"], "idempotent(s)"),
+        # C(80, 40) solutions, whose text would never fit in memory
+        (["solve", "right", f"m[;{_segment_text(40)}]", f"m[;{_segment_text(40)}]"], "solution(s)"),
+        (["solve", "left", f"m[{_segment_text(40)};]", f"m[{_segment_text(40)};]", "--json"],
+         "solution(s)"),
+    ])
+    def test_long_listings_are_refused(self, capsys, argv, noun):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {argv[0]} would list more than 2**16 {noun}; give --count or --limit\n"
 
-def _segment_text(k):
-    return ",".join(map(str, range(1, k + 1)))
+    def test_the_limit_is_inclusive(self, capsys):
+        gaps = _segment_text(16)
+        assert main(["upset", f"m[{gaps};{gaps}]"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "65536 idempotent(s)" and len(out) == 1 + 2 ** 16
 
 
 class TestCountAndLimit:
