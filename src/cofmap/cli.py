@@ -31,14 +31,23 @@ parse error with a span.  ``solve`` and ``upset`` take ``--count``
 members in order).  Their answers can be exponentially long (``upset``
 lists 2**n idempotents for an idempotent with n gaps), so without either
 option they refuse to list more than 2**``LISTING_LIMIT_LOG2`` (2**16)
-members.  ``--rows`` is at most ``MAX_ROWS``.
+members, and an ``N`` above that is a usage error.  ``--rows`` is at most
+``MAX_ROWS``.
+
+Reading argv: an argv of the form ``command positional... option...``,
+with each flag spelled in full, is read straight from :data:`COMMANDS`,
+by the same types and choices that argparse would use.  Any other argv
+(``-h``, ``--``, ``--rows=3``, a negative number, a wrong count, a refused
+value) is parsed by argparse, which prints help and usage errors.  So a
+fresh process for a well-formed command imports neither ``argparse`` nor
+``json``, which is loaded only to print ``--json`` output.  When the
+reader of stdout closes it early, the command exits 1 with no traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
+import os
 import re
 import sys
 from itertools import islice
@@ -86,7 +95,7 @@ from .green import (
 # evaluation recurses once per level of parentheses, so this keeps it far
 # inside the interpreter's recursion limit
 MAX_NESTING = 100
-LISTING_LIMIT_LOG2 = 16  # 2**16 members at most in a full listing, built before printing
+LISTING_LIMIT_LOG2 = 16  # 2**16 members at most in a listing, which is built before printing
 MAX_ROWS = 1000  # columns of a --rows preview
 
 
@@ -391,7 +400,9 @@ def _bounded(most):
     def count(text):
         n = int(text)
         if n < 0 or (most is not None and n > most):
-            raise argparse.ArgumentTypeError(
+            from argparse import ArgumentTypeError  # argparse is loaded only to report errors
+
+            raise ArgumentTypeError(
                 f"must be between 0 and {most}" if most is not None else "must not be negative")
         return n
     return count
@@ -539,7 +550,7 @@ def _selftest_report(report, args):
 
 # name -> (help, arguments, function, output shape).  An argument is (name,
 # kind) or (name, kind, default); "--name" is an option.  int and COUNT are
-# parsed by argparse, but ELEM and MAP text is evaluated in main's try: as an
+# read with argv, but ELEM and MAP text is evaluated in main's try: as an
 # argparse type=, a ParseError (a ValueError) would become a usage error.
 # CHOICE picks the function from the row's dict; the other arguments reach it
 # in order.
@@ -580,40 +591,131 @@ COMMANDS = {
 }
 
 
+# The options of every command, then those a listing adds, as add_argument's
+# keywords.  build_parser and _read both take them from here, so the two
+# readers of argv share one grammar.
+OPTIONS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--rows": {"type": _bounded(MAX_ROWS), "default": 0, "metavar": "K",
+               "help": "also print the first K mapped points as a two-row table"},
+}
+LISTING_OPTIONS = {
+    "--count": {"action": "store_true", "help": "print only the number of members"},
+    "--limit": {"type": _bounded(2 ** LISTING_LIMIT_LOG2), "metavar": "N",
+                "help": "print only the first N members, in order"},
+}
+
+
+def _arguments(name: str) -> list:
+    """Each argument of a command as ``(name, add_argument keywords)``: its
+    row's arguments in order, then :data:`OPTIONS`, then a listing's."""
+    _, arguments, fn, shape = COMMANDS[name]
+    out = []
+    for dest, kind, *default in arguments:
+        kw = {"help": "expression ('-' reads stdin)"} if dest == "expr" else {}
+        if kind is int or kind is COUNT:
+            kw["type"] = kind
+        elif kind is CHOICE:
+            kw["choices"] = list(fn)
+        if default:
+            kw["default"] = default[0]
+            if not dest.startswith("-"):
+                kw["nargs"] = "?"
+        out.append((dest, kw))
+    out += OPTIONS.items()
+    if isinstance(shape, _Listing):
+        out += LISTING_OPTIONS.items()
+    return out
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argparse tree of :data:`COMMANDS`, built on the first call only;
     parsing leaves it unchanged, so every call shares it."""
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="cofmap",
         description="exact calculator for cofinite monotone partial bijections "
                     "(note: g * h applies g first)")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_, arguments, fn, shape) in COMMANDS.items():
+    for name, (help_, *_) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        for dest, kind, *default in arguments:
-            kw = {"help": "expression ('-' reads stdin)"} if dest == "expr" else {}
-            if kind is int or kind is COUNT:
-                kw["type"] = kind
-            elif kind is CHOICE:
-                kw["choices"] = list(fn)
-            if default:
-                kw["default"] = default[0]
-                if not dest.startswith("-"):
-                    kw["nargs"] = "?"
+        for dest, kw in _arguments(name):
             sp.add_argument(dest, **kw)
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--rows", type=_bounded(MAX_ROWS), default=0, metavar="K",
-                        help="also print the first K mapped points as a two-row table")
-        if isinstance(shape, _Listing):
-            sp.add_argument("--count", action="store_true", help="print only the number of members")
-            sp.add_argument("--limit", type=COUNT, metavar="N",
-                            help="print only the first N members, in order")
     return p
 
 
+@functools.cache
+def _grammar(name: str):
+    """A command's arguments as :func:`_read` takes them: the positionals as
+    ``(dest, type, choices)`` in order, how many of them are required, the
+    options by flag as ``(dest, type, choices)`` with type None for a
+    switch, and the default of every dest."""
+    positionals, required, options, defaults = [], 0, {}, {"command": name}
+    for flag, kw in _arguments(name):
+        dest = flag.lstrip("-")
+        switch = kw.get("action") == "store_true"
+        defaults[dest] = kw.get("default", False if switch else None)
+        spec = (dest, None if switch else kw.get("type", str), kw.get("choices"))
+        if flag.startswith("-"):
+            options[flag] = spec
+        else:
+            positionals.append(spec)
+            required += "nargs" not in kw
+    return positionals, required, options, defaults
+
+
+def _read(argv):
+    """The namespace :func:`build_parser` gives for ``argv``, read straight
+    from :data:`COMMANDS` when ``argv`` is ``command positional...
+    option...``; None for any other argv, which argparse then parses and
+    reports.
+
+    A token that starts with ``-`` is an option only if it is exactly one
+    of the command's flags, and it ends the positionals: ``-h``, ``--``,
+    ``--rows=3``, an abbreviated flag and a negative number are all left to
+    argparse.  So are a wrong number of positionals, an option with no
+    value, and a value that its type or choices refuse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    positionals, required, options, defaults = _grammar(argv[0])
+    end = next((i for i, t in enumerate(argv) if t.startswith("-")), len(argv))
+    if not required <= end - 1 <= len(positionals):
+        return None
+    values = dict(defaults)
+    given = list(zip(positionals, argv[1:end]))
+    i = end
+    while i < len(argv):
+        spec = options.get(argv[i])
+        if spec is None:
+            return None
+        if spec[1] is None:  # a switch
+            values[spec[0]] = True
+            i += 1
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            given.append((spec, argv[i + 1]))
+            i += 2
+        else:
+            return None
+    for (dest, type_, choices), text in given:
+        try:
+            value = type_(text)
+        except Exception:  # argparse reports what a type refuses, or raises what it does not catch
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:  # help and usage errors, printed by argparse
+        args = build_parser().parse_args(argv)
     _, arguments, fn, shape = COMMANDS[args.command]
     try:
         values = []
@@ -625,7 +727,12 @@ def main(argv=None) -> int:
                 values.append(kind(text))
         result = fn(*values)
         shown = shape(result, args)
-        output = json.dumps(shown, separators=(",", ":")) if args.json else "\n".join(shown)
+        if args.json:
+            import json
+
+            output = json.dumps(shown, separators=(",", ":"))
+        else:
+            output = "\n".join(shown)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -634,7 +741,15 @@ def main(argv=None) -> int:
             exc = f"result has a number with more than {sys.get_int_max_str_digits()} digits"
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  The interpreter flushes stdout again at
+        # exit, so it is pointed at devnull first, as the docs of the signal
+        # module show for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # only stability and selftest report failures; they exit 1 after printing them
     return 1 if getattr(result, "failed", 0) else 0
 

@@ -1,6 +1,8 @@
 """Expression language, rendering, subcommands, and exit codes."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -14,8 +16,13 @@ from hypothesis import given, settings, strategies as st
 import cofmap
 from cofmap import Bicyclic, CofMap, IDENTITY, ZERO, adj_mul, compose, embed, zero_mul
 from cofmap.cli import (
+    CHOICE,
+    COMMANDS,
+    COUNT,
     ExprTypeError,
     ParseError,
+    _read,
+    build_parser,
     eval_expr,
     main,
     parse,
@@ -106,8 +113,8 @@ SYNTAX_ERRORS = [
 ]
 
 
-def run_cli(*args, stdin=None):
-    cmd = [sys.executable, "-m", "cofmap", *args]
+def run_cli(*args, stdin=None, python_options=()):
+    cmd = [sys.executable, *python_options, "-m", "cofmap", *args]
     return subprocess.run(cmd, input=stdin, capture_output=True)
 
 
@@ -427,6 +434,31 @@ class TestIO:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (r.returncode, r.stdout) == (0, "[]\n")
 
+    def test_well_formed_argv_loads_neither_argparse_nor_json(self):
+        def imported(r):  # the module names that -X importtime lists on stderr
+            return {line.rsplit("|", 1)[1].strip() for line in r.stderr.decode().splitlines()
+                    if line.startswith("import time:")}
+
+        r = run_cli("eval", "id", python_options=("-X", "importtime"))
+        assert (r.returncode, r.stdout) == (0, b"m[;]\n")
+        assert "cofmap.cli" in imported(r)
+        assert not {"argparse", "gettext", "json"} & imported(r)
+        r = run_cli("eval", "id", "--json", python_options=("-X", "importtime"))
+        assert (r.returncode, r.stdout) == (0, b'{"dom_gaps":[],"ran_gaps":[]}\n')
+        assert "json" in imported(r) and "argparse" not in imported(r)
+        r = run_cli("-h")
+        assert r.returncode == 0 and r.stdout.startswith(b"usage: cofmap [-h]")
+
+    def test_reader_that_closes_early_gets_exit_1_and_no_traceback(self):
+        # 3.5 MB of output, far more than a pipe holds, so the write fails
+        cmd = [sys.executable, "-m", "cofmap", "conj-witness", "m[;100000]"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(100).startswith(b"idempotent = m[1,2,3,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_selftest_smoke(self, capsys):
         assert main(["selftest", "--cases", "40", "--seed", "3"]) == 0
         out = capsys.readouterr().out
@@ -568,6 +600,47 @@ class TestGoldenOutputs:
         assert (out.out, out.err) == (want, "")
 
 
+# tokens that argparse reads in its own way: the direct reader leaves each to it
+STRAY = ["--", "-h", "--rows=3", "--js", "-4", "-"]
+
+
+def _argparse_vars(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return vars(build_parser().parse_args(argv))
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv", [
+        argv + flags
+        for argv, *_ in GOLDEN
+        for flags in ([], ["--json"], ["--rows", "3"], ["--json", "--rows", "0", "--json"])
+    ], ids=" ".join)
+    def test_well_formed_argv_is_read_directly(self, argv):
+        direct = _read(argv)
+        assert direct is not None and vars(direct) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["eval", "x", "y"], ["frobnicate"], [], ["eval", "id", "--rows"],
+        ["leq", "sideways", "id", "id"], ["upset", "m[1;1]", "--limit", "x"],
+        ["upset", "m[1;1]", "--limit", "65537"], ["eval", "id", "--count"],
+        ["stability", "3", "m[;1]", "--json", "40"],
+        *(["eval", "id", token] for token in STRAY),
+    ], ids=" ".join)
+    def test_everything_else_is_left_to_argparse(self, argv):
+        assert _read(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_direct_reader_agrees_with_argparse(self, data):
+        name = data.draw(st.sampled_from([*COMMANDS, "frobnicate"]))
+        tokens = [*STRAY, "--json", "--rows", "--count", "--limit", "--seed", "--cases",
+                  "R", "nat", "left", "Q", "0", "3", "1001", "65537", "x", "", "id", "m[;1]"]
+        argv = [name, *data.draw(st.lists(st.sampled_from(tokens), max_size=7))]
+        direct = _read(argv)
+        if direct is not None:
+            assert vars(direct) == _argparse_vars(argv)
+
+
 class TestEvalErrorSpans:
     @pytest.mark.parametrize(
         "text,message",
@@ -678,9 +751,10 @@ class TestUpsetLimit:
 
     def test_the_limit_is_inclusive(self, capsys):
         gaps = _segment_text(16)
-        assert main(["upset", f"m[{gaps};{gaps}]"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "65536 idempotent(s)" and len(out) == 1 + 2 ** 16
+        for flags in ([], ["--limit", "65536"]):
+            assert main(["upset", f"m[{gaps};{gaps}]", *flags]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == "65536 idempotent(s)" and len(out) == 1 + 2 ** 16
 
 
 class TestCountAndLimit:
@@ -725,6 +799,9 @@ class TestCountAndLimit:
         ["eval", "m[;]", "--count"],
         ["selftest", "--cases", "-3"],
         ["stability", "3", "m[;1]", "--", "-5"],
+        ["upset", "m[1;1]", "--limit", "65537"],
+        ["solve", "right", f"m[;{_segment_text(40)}]", f"m[;{_segment_text(40)}]",
+         "--limit", "100000000000"],
     ])
     def test_out_of_range_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -751,3 +828,65 @@ class TestLargeGapValues:
         assert main(["eval", "m[;]", "--rows", "1000"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].endswith(" 999 1000 ... )") and len(lines) == 3
+
+
+# argument texts for the exit-code contract: large gap values, numbers of
+# 4,300 digits, 40-gap idempotents and maps, and malformed text
+NINES = "9" * 4300  # as long as the digit limit lets a number be
+EXPRESSIONS = [
+    "id", "m[;1]", "m[1,3;1,3]", "m[2;1,3]' * b[1,2]", "b[2,1]", "z[3]", "O", "z[1] * O",
+    "m[100000000;]", "m[;100000000]", "b[100000000,0]", f"m[;{NINES}]",
+    f"z[{NINES}]", f"m[{_segment_text(40)};{_segment_text(40)}]",
+    f"m[;{_segment_text(40)}]", f"m[{_segment_text(40)};]",
+    "m[3,2;]", "m[;1", "(", "q", "", "z[1]'", f"z[{BIG}]",
+]
+NUMBERS = ["0", "1", "3", "-4", "x", "", "100000000", NINES]
+CASES = ["0", "1", "3", "-4", "x"]  # stability and selftest run as many cases as asked
+FLAGS = [
+    ["--json"], ["--rows", "3"], ["--rows", "1001"], ["--count"], ["--limit", "3"],
+    ["--limit", "65537"], ["--limit", "100000000000"], ["--limit", "-1"],
+    ["--seed", "5"], ["--cases", "3"], *([token] for token in STRAY if token != "-"),
+]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command with the arguments its row takes, some defaulted ones left
+    out, and options and stray tokens put anywhere."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    _, arguments, fn, _ = COMMANDS[name]
+    argv = [name]
+    for dest, kind, *default in arguments:
+        # a number of cases is always given: its default takes seconds
+        if default and kind is not COUNT and draw(st.booleans()):
+            if dest.startswith("-"):
+                continue
+            break  # a positional left out leaves out those after it
+        if kind is CHOICE:
+            text = draw(st.sampled_from([*fn, "Q"]))
+        elif kind is COUNT:
+            text = draw(st.sampled_from(CASES))
+        elif kind is int:
+            text = draw(st.sampled_from(NUMBERS))
+        else:
+            text = draw(st.sampled_from(EXPRESSIONS))
+        argv += [dest, text] if dest.startswith("-") else [text]
+    for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=3)):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = flag
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argv())
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's help and usage errors
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
