@@ -1,6 +1,7 @@
 """Exact computation in the inverse monoid of cofinite monotone partial
 bijections of the positive integers, its bicyclic-monoid skeleton, and two
-classical enlargements (adjoined zero, integer adjunction)."""
+classical enlargements (adjoined zero, integer adjunction).  The names
+imported below are the public API."""
 
 from .core import (
     CofMap,
@@ -9,7 +10,6 @@ from .core import (
     MAX_SEGMENT,
     canonical_leq,
     compose,
-    dom_tail_start,
     evaluate,
     gapset,
     initial_segment,
@@ -18,12 +18,9 @@ from .core import (
     iter_up_set,
     natural_leq,
     preimage,
-    ran_tail_start,
     shift,
     shift_threshold,
     tail_identity,
-    tail_start,
-    up_set,
 )
 from .green import (
     SolutionSet,
@@ -38,11 +35,7 @@ from .green import (
     solve_right,
 )
 from .bicyclic import (
-    BICYCLIC_IDENTITY,
     Bicyclic,
-    SHIFT_DOWN,
-    SHIFT_UP,
-    absorbing_idempotent,
     as_bicyclic,
     congruence_witnesses,
     conjugation_witness,
@@ -65,59 +58,3 @@ from .extensions import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjElement",
-    "AdjoinedZero",
-    "BICYCLIC_IDENTITY",
-    "Bicyclic",
-    "CofMap",
-    "GapSet",
-    "IDENTITY",
-    "MAX_SEGMENT",
-    "SHIFT_DOWN",
-    "SHIFT_UP",
-    "SolutionSet",
-    "ZERO",
-    "ZeroElement",
-    "absorbing_idempotent",
-    "adj_mul",
-    "as_bicyclic",
-    "canonical_leq",
-    "compose",
-    "congruence_witnesses",
-    "conjugation_witness",
-    "connect_idempotents",
-    "dom_tail_start",
-    "embed",
-    "evaluate",
-    "fresh_bicyclic",
-    "gapset",
-    "green_d",
-    "green_h",
-    "green_l",
-    "green_r",
-    "group_congruent",
-    "in_adj_nbhd",
-    "in_zero_nbhd",
-    "initial_segment",
-    "invert",
-    "is_idempotent",
-    "iter_up_set",
-    "natural_leq",
-    "preimage",
-    "ran_tail_start",
-    "semilattice_iso",
-    "shift",
-    "shift_threshold",
-    "simplicity_witness",
-    "solve_left",
-    "solve_right",
-    "standard_below",
-    "tail_identity",
-    "tail_projection",
-    "tail_start",
-    "up_set",
-    "zero_mul",
-    "zero_stability_bound",
-]

@@ -15,15 +15,12 @@ from .core import (
     MAX_SEGMENT,
     CofMap,
     _trusted,
-    compose,
-    dom_tail_start,
     initial_segment,
     invert,
     require_idempotent,
     shift,
     shift_threshold,
     tail_identity,
-    tail_start,
 )
 
 
@@ -76,7 +73,6 @@ class Bicyclic:
 
 
 _set_m, _set_n = Bicyclic.m.__set__, Bicyclic.n.__set__
-BICYCLIC_IDENTITY = Bicyclic(0, 0)
 
 
 def embed(x: Bicyclic) -> CofMap:
@@ -100,10 +96,6 @@ def as_bicyclic(g: CofMap) -> Bicyclic | None:
     return None
 
 
-SHIFT_UP = embed(Bicyclic(0, 1))    # n -> n + 1 everywhere
-SHIFT_DOWN = embed(Bicyclic(1, 0))  # n -> n - 1 on {2, 3, ...}
-
-
 def fresh_bicyclic(e: CofMap) -> tuple[CofMap, CofMap, CofMap]:
     """A bicyclic copy sitting below ``e`` and disjoint from the standard one.
 
@@ -113,8 +105,8 @@ def fresh_bicyclic(e: CofMap) -> tuple[CofMap, CofMap, CofMap]:
     elements is standard: every product keeps the anchor point fixed while
     missing the point just below it.
     """
-    require_idempotent(e)
-    anchor = tail_start(e) + 1
+    gaps = require_idempotent(e).dom_gaps
+    anchor = (gaps[-1] if gaps else 0) + 2
     # {1..anchor} and {1..anchor+1}, each without anchor - 1
     base = initial_segment(anchor - 2) + (anchor,)
     raised = base + (anchor + 1,)
@@ -144,19 +136,12 @@ def tail_projection(g: CofMap) -> tuple[CofMap, CofMap]:
     return _trusted(seg[:t - 1], seg[:t + f - 1]), _trusted(seg, seg)
 
 
-def absorbing_idempotent(e: CofMap) -> tuple[CofMap, CofMap]:
-    """Tail identity absorbing ``e``: returns ``(eps, e * eps)`` with
-    ``e * eps == eps``, a standard-copy idempotent."""
-    require_idempotent(e)
-    eps = tail_identity(dom_tail_start(e))
-    return eps, compose(e, eps)
-
-
 def standard_below(e: CofMap) -> CofMap:
     """A standard-copy idempotent below ``e`` in the natural order: the
-    identity on the tail starting right after e's last gap."""
-    require_idempotent(e)
-    return tail_identity(dom_tail_start(e))
+    identity on the tail starting right after e's last gap.  It absorbs
+    ``e``: ``e * standard_below(e) == standard_below(e)``."""
+    gaps = require_idempotent(e).dom_gaps
+    return tail_identity((gaps[-1] if gaps else 0) + 1)
 
 
 def conjugation_witness(g: CofMap) -> tuple[CofMap, CofMap, CofMap]:

@@ -32,7 +32,8 @@ members in order).  Their answers can be exponentially long (``upset``
 lists 2**n idempotents for an idempotent with n gaps), so without either
 option they refuse to list more than 2**``LISTING_LIMIT_LOG2`` (2**16)
 members, and an ``N`` above that is a usage error.  ``--rows`` is at most
-``MAX_ROWS``.
+``MAX_ROWS``, and the number of cases of ``stability`` and ``selftest``
+at most ``MAX_CASES``.
 
 Reading argv: an argv of the form ``command positional... option...``,
 with each flag spelled in full, is read straight from :data:`COMMANDS`,
@@ -97,6 +98,7 @@ from .green import (
 MAX_NESTING = 100
 LISTING_LIMIT_LOG2 = 16  # 2**16 members at most in a listing, which is built before printing
 MAX_ROWS = 1000  # columns of a --rows preview
+MAX_CASES = 10_000  # sample cases of stability and selftest
 
 
 class ParseError(ValueError):
@@ -396,20 +398,19 @@ def _map_arg(text: str) -> CofMap:
 
 
 def _bounded(most):
-    """argparse type: an int in [0, most] (no upper bound for None)."""
+    """argparse type: an int in [0, most]."""
     def count(text):
         n = int(text)
-        if n < 0 or (most is not None and n > most):
+        if not 0 <= n <= most:
             from argparse import ArgumentTypeError  # argparse is loaded only to report errors
 
-            raise ArgumentTypeError(
-                f"must be between 0 and {most}" if most is not None else "must not be negative")
+            raise ArgumentTypeError(f"must be between 0 and {most}")
         return n
     return count
 
 
 ELEM, MAP = _expr_arg, _map_arg
-COUNT = _bounded(None)  # a number of cases or members
+COUNT = _bounded(MAX_CASES)  # a number of sample cases
 CHOICE = "choice"  # the argument picks the function from the row's dict
 EXPR, FIRST, SECOND = ("expr", MAP), ("first", MAP), ("second", MAP)
 
@@ -675,13 +676,14 @@ def _read(argv):
     A token that starts with ``-`` is an option only if it is exactly one
     of the command's flags, and it ends the positionals: ``-h``, ``--``,
     ``--rows=3``, an abbreviated flag and a negative number are all left to
-    argparse.  So are a wrong number of positionals, an option with no
-    value, and a value that its type or choices refuse.
+    argparse.  A lone ``-`` (stdin) is a positional, as argparse reads it.
+    Left to argparse too are a wrong number of positionals, an option with
+    no value, and a value that its type or choices refuse.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
     positionals, required, options, defaults = _grammar(argv[0])
-    end = next((i for i, t in enumerate(argv) if t.startswith("-")), len(argv))
+    end = next((i for i, t in enumerate(argv) if t.startswith("-") and t != "-"), len(argv))
     if not required <= end - 1 <= len(positionals):
         return None
     values = dict(defaults)

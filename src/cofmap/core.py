@@ -208,21 +208,6 @@ def shift(g: CofMap) -> int:
     return len(g.ran_gaps) - len(g.dom_gaps)
 
 
-def dom_tail_start(g: CofMap) -> int:
-    """First point from which the domain contains everything onward."""
-    return g.dom_gaps[-1] + 1 if g.dom_gaps else 1
-
-
-def ran_tail_start(g: CofMap) -> int:
-    """First point from which the image contains everything onward."""
-    return g.ran_gaps[-1] + 1 if g.ran_gaps else 1
-
-
-def tail_start(g: CofMap) -> int:
-    """Max of the two tail starts: both sides are full from here on."""
-    return max(dom_tail_start(g), ran_tail_start(g))
-
-
 def shift_threshold(g: CofMap) -> int:
     """Least point past every domain gap whose image clears every image gap.
 
@@ -329,8 +314,3 @@ def iter_up_set(e: CofMap):
     walk = _ordered_subsets(gaps, (), len(gaps))
     return (_trusted(sub, sub) for reached, sub, _ in walk if reached)
 
-
-def up_set(e: CofMap) -> list[CofMap]:
-    """All idempotents above ``e`` in the natural order, as a list sorted by
-    gap set (see :func:`iter_up_set`)."""
-    return list(iter_up_set(e))

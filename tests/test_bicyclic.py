@@ -8,14 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cofmap import (
-    BICYCLIC_IDENTITY,
     Bicyclic,
     CofMap,
     IDENTITY,
     MAX_SEGMENT,
-    SHIFT_DOWN,
-    SHIFT_UP,
-    absorbing_idempotent,
     as_bicyclic,
     compose,
     congruence_witnesses,
@@ -49,7 +45,7 @@ idempotents = gap_sets.map(lambda g: CofMap(g, g))
 
 class TestNormalForm:
     def test_multiplication_table(self):
-        assert Bicyclic(0, 1) * Bicyclic(1, 0) == BICYCLIC_IDENTITY
+        assert Bicyclic(0, 1) * Bicyclic(1, 0) == Bicyclic(0, 0)
         assert Bicyclic(1, 0) * Bicyclic(0, 1) == Bicyclic(1, 1)
         assert Bicyclic(2, 3) * Bicyclic(1, 5) == Bicyclic(2, 7)
 
@@ -109,15 +105,15 @@ class TestValueType:
 
 class TestEmbedding:
     def test_values(self):
-        assert embed(BICYCLIC_IDENTITY) == IDENTITY
-        assert embed(Bicyclic(0, 1)) == UP == SHIFT_UP
-        assert embed(Bicyclic(1, 0)) == DOWN == SHIFT_DOWN
+        assert embed(Bicyclic(0, 0)) == IDENTITY
+        assert embed(Bicyclic(0, 1)) == UP
+        assert embed(Bicyclic(1, 0)) == DOWN
         g = embed(Bicyclic(2, 3))
         assert g == CofMap((1, 2), (1, 2, 3))
         assert [evaluate(g, i) for i in (3, 4, 10)] == [4, 5, 11]
 
     def test_membership(self):
-        assert as_bicyclic(IDENTITY) == BICYCLIC_IDENTITY
+        assert as_bicyclic(IDENTITY) == Bicyclic(0, 0)
         assert as_bicyclic(CofMap((1, 2), (1,))) == Bicyclic(2, 1)
         assert as_bicyclic(CofMap((2,), (1,))) is None
         assert as_bicyclic(CofMap((1, 3), (1, 2))) is None
@@ -194,20 +190,21 @@ class TestTailProjection:
 
 
 class TestAbsorbingIdempotent:
-    def test_values(self):
-        assert absorbing_idempotent(IDENTITY) == (IDENTITY, IDENTITY)
-        eps, prod = absorbing_idempotent(CofMap((2,), (2,)))
-        assert eps == CofMap((1, 2), (1, 2)) and prod == eps
-        assert absorbing_idempotent(CofMap((1, 4), (1, 4)))[0] == tail_identity(5)
+    """``standard_below(e)`` absorbs ``e``: ``e * eps == eps``."""
 
-    def test_rejects_non_idempotents(self):
-        with pytest.raises(ValueError):
-            absorbing_idempotent(UP)
+    def test_values(self):
+        for e, eps in [
+            (IDENTITY, IDENTITY),
+            (CofMap((2,), (2,)), CofMap((1, 2), (1, 2))),
+            (CofMap((1, 4), (1, 4)), tail_identity(5)),
+        ]:
+            assert standard_below(e) == eps
+            assert compose(e, eps) == eps
 
     @given(idempotents)
     def test_postconditions(self, e):
-        eps, prod = absorbing_idempotent(e)
-        assert prod == eps and as_bicyclic(eps) is not None
+        eps = standard_below(e)
+        assert compose(e, eps) == eps and as_bicyclic(eps) is not None
         # any standard idempotent below eps is absorbed the same way
         psi = tail_identity(len(eps.dom_gaps) + 3)
         assert natural_leq(psi, eps)
@@ -220,6 +217,10 @@ class TestStandardBelow:
         assert standard_below(IDENTITY) == IDENTITY
         assert standard_below(CofMap((2,), (2,))) == CofMap((1, 2), (1, 2))
         assert standard_below(CofMap((1, 4), (1, 4))) == tail_identity(5)
+
+    def test_rejects_non_idempotents(self):
+        with pytest.raises(ValueError):
+            standard_below(UP)
 
     @given(idempotents)
     def test_postconditions(self, e):

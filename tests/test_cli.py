@@ -443,6 +443,9 @@ class TestIO:
         assert (r.returncode, r.stdout) == (0, b"m[;]\n")
         assert "cofmap.cli" in imported(r)
         assert not {"argparse", "gettext", "json"} & imported(r)
+        r = run_cli("eval", "-", stdin=b"m[;1]", python_options=("-X", "importtime"))
+        assert (r.returncode, r.stdout) == (0, b"m[;1]\n")
+        assert not {"argparse", "gettext", "json"} & imported(r)
         r = run_cli("eval", "id", "--json", python_options=("-X", "importtime"))
         assert (r.returncode, r.stdout) == (0, b'{"dom_gaps":[],"ran_gaps":[]}\n')
         assert "json" in imported(r) and "argparse" not in imported(r)
@@ -611,9 +614,10 @@ def _argparse_vars(argv):
 
 class TestArgv:
     @pytest.mark.parametrize("argv", [
-        argv + flags
-        for argv, *_ in GOLDEN
-        for flags in ([], ["--json"], ["--rows", "3"], ["--json", "--rows", "0", "--json"])
+        *(argv + flags
+          for argv, *_ in GOLDEN
+          for flags in ([], ["--json"], ["--rows", "3"], ["--json", "--rows", "0", "--json"])),
+        ["eval", "-"],
     ], ids=" ".join)
     def test_well_formed_argv_is_read_directly(self, argv):
         direct = _read(argv)
@@ -802,6 +806,8 @@ class TestCountAndLimit:
         ["upset", "m[1;1]", "--limit", "65537"],
         ["solve", "right", f"m[;{_segment_text(40)}]", f"m[;{_segment_text(40)}]",
          "--limit", "100000000000"],
+        ["stability", "3", "b[2,1]", "1000001"],
+        ["selftest", "--cases", "10001"],
     ])
     def test_out_of_range_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -841,7 +847,7 @@ EXPRESSIONS = [
     "m[3,2;]", "m[;1", "(", "q", "", "z[1]'", f"z[{BIG}]",
 ]
 NUMBERS = ["0", "1", "3", "-4", "x", "", "100000000", NINES]
-CASES = ["0", "1", "3", "-4", "x"]  # stability and selftest run as many cases as asked
+CASES = ["0", "1", "3", "-4", "x", "10001"]  # stability and selftest, at most MAX_CASES
 FLAGS = [
     ["--json"], ["--rows", "3"], ["--rows", "1001"], ["--count"], ["--limit", "3"],
     ["--limit", "65537"], ["--limit", "100000000000"], ["--limit", "-1"],

@@ -8,13 +8,13 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cofmap
 from cofmap import (
     CofMap,
     IDENTITY,
     MAX_SEGMENT,
     canonical_leq,
     compose,
-    dom_tail_start,
     evaluate,
     gapset,
     initial_segment,
@@ -23,12 +23,9 @@ from cofmap import (
     iter_up_set,
     natural_leq,
     preimage,
-    ran_tail_start,
     shift,
     shift_threshold,
     tail_identity,
-    tail_start,
-    up_set,
 )
 from cofmap.cli import to_json
 from cofmap.selftest import two_row, two_row_compose
@@ -305,19 +302,6 @@ class TestShift:
         assert shift(compose(g, h)) == shift(g) + shift(h)
 
 
-class TestTailStarts:
-    @pytest.mark.parametrize(
-        "g,want",
-        [
-            (IDENTITY, (1, 1, 1)),
-            (CofMap((2,), (2,)), (3, 3, 3)),
-            (CofMap((1, 2, 3), (5,)), (4, 6, 6)),
-        ],
-    )
-    def test_values(self, g, want):
-        assert (dom_tail_start(g), ran_tail_start(g), tail_start(g)) == want
-
-
 class TestShiftThreshold:
     def test_values(self):
         assert shift_threshold(IDENTITY) == 1
@@ -432,19 +416,19 @@ class TestCanonicalOrder:
 
 class TestUpSet:
     def test_values(self):
-        assert up_set(IDENTITY) == [IDENTITY]
-        assert up_set(CofMap((1,), (1,))) == [IDENTITY, CofMap((1,), (1,))]
-        assert len(up_set(CofMap((1, 2), (1, 2)))) == 4
+        assert list(iter_up_set(IDENTITY)) == [IDENTITY]
+        assert list(iter_up_set(CofMap((1,), (1,)))) == [IDENTITY, CofMap((1,), (1,))]
+        assert len(list(iter_up_set(CofMap((1, 2), (1, 2))))) == 4
 
     def test_rejects_non_idempotents(self):
         with pytest.raises(ValueError):
-            up_set(UP)
+            list(iter_up_set(UP))
 
     @settings(max_examples=40)
     @given(st.frozensets(st.integers(1, 20), max_size=8).map(lambda s: tuple(sorted(s))))
     def test_counts_and_membership(self, gaps):
         e = CofMap(gaps, gaps)
-        ups = up_set(e)
+        ups = list(iter_up_set(e))
         assert len(ups) == 2 ** len(gaps)
         assert len(set(ups)) == len(ups)
         for u in ups:
@@ -469,6 +453,15 @@ class TestInitialSegment:
             initial_segment(MAX_SEGMENT + 1)
         with pytest.raises(ValueError):
             tail_identity(MAX_SEGMENT + 2)
+
+
+class TestPublicNames:
+    def test_aliases_and_test_only_names_are_gone(self):
+        # each was an alias of another construction, or used only by tests
+        removed = ["absorbing_idempotent", "up_set", "dom_tail_start", "ran_tail_start",
+                   "tail_start", "SHIFT_UP", "SHIFT_DOWN", "BICYCLIC_IDENTITY", "__all__"]
+        for module in (cofmap, cofmap.core, cofmap.bicyclic):
+            assert [name for name in removed if hasattr(module, name)] == []
 
 
 class TestJson:
