@@ -16,9 +16,9 @@ first; this is the opposite of the classical function-composition order.
 Numbers are written in Unicode decimal digits, which ``int`` reads:
 ``m[١;]`` is ``m[1;]``, while a superscript such as ``²`` is not a digit.
 
-Parsing reads each element and each of ``* ( ) '`` with one match of one
-compiled regular expression, so its cost follows the number of elements
-and gaps, with no Python call per character.
+Parsing reads each element, each of ``* ( )`` and each run of primes
+with one match of one compiled regular expression, so its cost follows the
+number of elements and gaps, with no Python call per character or prime.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -125,10 +125,12 @@ class Lit:
 
 
 class Inv:
-    __slots__ = ("child", "span")
+    __slots__ = ("child", "primes", "first_end", "span")
 
-    def __init__(self, child, span):
-        self.child, self.span = child, span
+    def __init__(self, child, primes, first_end, span):
+        self.child, self.primes = child, primes  # a run of primes, inverting by its parity
+        self.first_end = first_end  # the end of its first prime
+        self.span = span  # from the child's start to the end of its last prime
 
 
 class Mul:
@@ -140,18 +142,18 @@ class Mul:
 
 
 # One match of _TOKEN reads the whitespace before a token and then one
-# element or one of * ( ) '.  Each part of an element after its letter is
-# optional and nested in the part before it, so a malformed element still
-# matches up to its first bad character, and _malformed tells what was
-# expected there.  Group 1 is the token; then the gap lists and "]" of a
-# map, the numbers and "]" of a bicyclic element, and the number and "]" of
-# an integer.
+# element, one of * ( ), or a run of primes with any whitespace between
+# them.  Each part of an element after its letter is optional and nested in
+# the part before it, so a malformed element still matches up to its first
+# bad character, and _malformed tells what was expected there.  Group 1 is
+# the token; then the gap lists and "]" of a map, the numbers and "]" of a
+# bicyclic element, and the number and "]" of an integer.
 _LIST = r"\d+(?:\s*,\s*\d+)*"
 _TOKEN = re.compile(rf"""\s*(
     m(?:\s*\[(?:\s*({_LIST}))?(?:\s*;(?:\s*({_LIST}))?(?:\s*(\]))?)?)?
   | b(?:\s*\[(?:\s*(\d+)(?:\s*,(?:\s*(\d+)(?:\s*(\]))?)?)?)?)?
   | z(?:\s*\[(?:\s*([+-]?\d+)(?:\s*(\]))?)?)?
-  | id | [O*()']
+  | id | [O*()] | '(?:\s*')*
 )?""", re.VERBOSE)
 _SPACE = re.compile(r"\s*")
 _strip = str.strip  # \s matches "\x1c".."\x1f", which int() does not strip
@@ -160,9 +162,9 @@ _strip = str.strip  # \s matches "\x1c".."\x1f", which int() does not strip
 def parse(text: str):
     """Parse an expression; raises :class:`ParseError` on bad syntax.
 
-    Each element and each operator is one match of ``_TOKEN``; the
-    parentheses open around the current product are kept on a stack, so
-    nothing recurses.
+    Each element, each operator and each run of primes is one match of
+    ``_TOKEN``; the parentheses open around the current product are kept
+    on a stack, so nothing recurses.
     """
     match = _TOKEN.match
     outer = []  # the factors of each enclosing product, innermost last
@@ -200,15 +202,16 @@ def parse(text: str):
         else:
             at = tok.end() if start < 0 else start
             raise ParseError("expected an element, '(' or 'id'", (at, at + 1))
-        # postfix primes, then "*", ")" or the end
+        # a run of primes, then "*", ")" or the end
         while True:
             tok = match(text, pos)
             start, end = tok.span(1)
             head = text[start] if start >= 0 else ""
             if head == "'":
                 if type(node) is Lit and isinstance(node.value, (int, AdjoinedZero)):
-                    raise ParseError("integers and the zero have no inverse", (start, end))
-                node, pos = Inv(node, (node.span[0], end)), end
+                    raise ParseError("integers and the zero have no inverse", (start, start + 1))
+                node = Inv(node, text.count("'", start, end), start + 1, (node.span[0], end))
+                pos = end
                 continue
             factors.append(node)
             if head == "*":
@@ -288,28 +291,30 @@ def _malformed(text: str, tok):
 def eval_expr(node):
     """Evaluate a parsed expression to a canonical element value.
 
-    A run of primes inverts by its parity.  A product chain checks its
-    carriers left to right, so a mismatch is reported where a left fold
-    meets it, then multiplies pairwise, round by round: every carrier is
-    associative, and a left fold of n one-gap maps costs O(n**2) gap steps.
-    Recursion follows only parentheses, which the parser caps.
+    Runs of primes, also those of nested parentheses, invert by the parity
+    of their total.  A product chain checks its carriers left to right, so
+    a mismatch is reported where a left fold meets it, then multiplies
+    pairwise, round by round: every carrier is associative, and a left fold
+    of n one-gap maps costs O(n**2) gap steps.  Recursion follows only
+    parentheses, which the parser caps.
     """
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Inv):
         primes = 0
         while isinstance(node, Inv):
-            first, node, primes = node, node.child, primes + 1
+            inner, node, primes = node, node.child, primes + node.primes
         v = eval_expr(node)
         if not isinstance(v, (CofMap, Bicyclic)):
-            # ``first`` is the innermost prime, the first inversion applied
-            raise ExprTypeError("integers and the zero have no inverse", first.span)
+            # the first prime of the innermost run is the first inversion applied
+            raise ExprTypeError("integers and the zero have no inverse",
+                                (node.span[0], inner.first_end))
         if primes % 2 == 0:
             return v
         return invert(v) if isinstance(v, CofMap) else v.inverse()
     values, carriers = [], set()
     for term in node.factors:
-        v = eval_expr(term)
+        v = term.value if type(term) is Lit else eval_expr(term)
         if isinstance(v, (int, AdjoinedZero)):
             carriers.add(type(v))
             if len(carriers) == 2:
@@ -317,7 +322,8 @@ def eval_expr(node):
                                     (node.span[0], term.span[1]))
         values.append(v)
     while len(values) > 1:
-        paired = [_mul_values(v, w) for v, w in zip(values[::2], values[1::2])]
+        paired = [compose(v, w) if type(v) is CofMap and type(w) is CofMap else _mul_values(v, w)
+                  for v, w in zip(values[::2], values[1::2])]
         values = paired + values[-1:] if len(values) % 2 else paired
     return values[0]
 

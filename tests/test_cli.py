@@ -113,6 +113,17 @@ SYNTAX_ERRORS = [
 ]
 
 
+# maps and bicyclic elements, the values that have inverses
+invertible_values = st.one_of(
+    st.builds(
+        CofMap,
+        st.frozensets(st.integers(1, 30), max_size=10).map(lambda s: tuple(sorted(s))),
+        st.frozensets(st.integers(1, 30), max_size=10).map(lambda s: tuple(sorted(s))),
+    ),
+    st.builds(Bicyclic, st.integers(0, 20), st.integers(0, 20)),
+)
+
+
 def run_cli(*args, stdin=None, python_options=()):
     cmd = [sys.executable, *python_options, "-m", "cofmap", *args]
     return subprocess.run(cmd, input=stdin, capture_output=True)
@@ -138,6 +149,16 @@ class TestParse:
         assert eval_expr(parse("b[2,3]'")) == Bicyclic(3, 2)
         assert eval_expr(parse("(m[;1] * m[;1])'")) == CofMap((1, 2), ())
         assert eval_expr(parse("m[;1]''")) == UP
+
+    @given(invertible_values, st.lists(st.sampled_from(("", " ", "\t", "\n  ", "\x1c")), max_size=6))
+    def test_run_of_primes_inverts_by_parity(self, v, spaces):
+        # each prime after its own whitespace: the run is one token, and the
+        # same primes one to a group of parentheses give the same value
+        want = v.inverse() if len(spaces) % 2 else v
+        run = "".join(ws + "'" for ws in spaces)
+        assert eval_expr(parse(render(v) + run)) == want
+        nested = "(" * len(spaces) + render(v) + "".join(")" + ws + "'" for ws in spaces)
+        assert eval_expr(parse(nested)) == want
 
     def test_composition_is_left_to_right(self):
         assert eval_expr(parse("m[;1] * m[1;]")) == IDENTITY
@@ -200,16 +221,7 @@ class TestEval:
         assert eval_expr(parse("b[1,1] * O")) is ZERO
 
 
-mixed_values = st.one_of(
-    st.builds(
-        CofMap,
-        st.frozensets(st.integers(1, 30), max_size=10).map(lambda s: tuple(sorted(s))),
-        st.frozensets(st.integers(1, 30), max_size=10).map(lambda s: tuple(sorted(s))),
-    ),
-    st.builds(Bicyclic, st.integers(0, 20), st.integers(0, 20)),
-    st.integers(-50, 50),
-    st.just(ZERO),
-)
+mixed_values = st.one_of(invertible_values, st.integers(-50, 50), st.just(ZERO))
 
 
 class TestRender:
@@ -659,6 +671,13 @@ class TestEvalErrorSpans:
             ("(z[1]*z[1])' * z[1] * O", "integers and the zero have no inverse (at 1..12)"),
             ("b[1,1] * z[1] * b[0,1] * O",
              "integers and the zero belong to different carriers (at 0..26)"),
+            # a product's span ends at the last prime of a run, the error of
+            # an inversion at the first
+            ("O * (z[2] * m[;1]'')", "integers and the zero belong to different carriers (at 0..19)"),
+            ("O * (z[2] * m[;1] ' ')",
+             "integers and the zero belong to different carriers (at 0..21)"),
+            ("(z[1] * z[2]) ' '", "integers and the zero have no inverse (at 1..15)"),
+            ("((z[1]*z[2])')'", "integers and the zero have no inverse (at 2..13)"),
         ],
     )
     def test_first_error_left_to_right(self, text, message):
