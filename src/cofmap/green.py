@@ -11,20 +11,27 @@ free points and ``g`` free image slots has C(o+g, o) fillings.  Costs, for
 equations with n gaps in all, whatever the values of the gaps:
 ``solve_right``/``solve_left`` and the exact ``count`` take O(n) (plus a
 binary search a block) and list nothing; ``x in solutions`` is one
-``compose``; iteration is lazy and does O(n) work a solution.
+``compose``; iteration is lazy and does O(n) work a solution.  It builds
+the solutions a chunk of ``CHUNK`` (1,024) at a time in C-level loops,
+with no Python call a solution, so taking the first builds one chunk at
+most.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations, repeat
+from functools import partial
+from itertools import chain, combinations, islice, repeat
 from math import comb
+from operator import add
 
 from .core import (
     CofMap,
     _merge,
     _ordered_subsets,
     _pull,
+    _set_dom,
+    _set_ran,
     _trusted,
     compose,
     invert,
@@ -83,6 +90,21 @@ def semilattice_iso(e: CofMap) -> tuple:
     return e.dom_gaps
 
 
+CHUNK = 1024  # maps a listing builds at a time
+
+
+def _chunk(dom_gaps, rans):
+    # The maps with domain gaps dom_gaps and the next CHUNK image gap tuples
+    # of rans, [] past the last: _trusted's work, in C-level loops.  The
+    # gap tuples come from the block walk, valid by construction.  The slot
+    # setters return None, so any() runs each map to its end.
+    rans = list(islice(rans, CHUNK))
+    maps = list(map(object.__new__, repeat(CofMap, len(rans))))
+    any(map(_set_dom, maps, repeat(dom_gaps)))
+    any(map(_set_ran, maps, rans))
+    return maps
+
+
 class SolutionSet:
     """All solutions of a one-sided translation equation, held as blocks.
 
@@ -95,7 +117,9 @@ class SolutionSet:
       ``sys.maxsize``;
     - ``x in s`` is one composition;
     - iteration yields the solutions in lexicographic order of their
-      gap-set pairs, O(gaps) work each; the set may be empty.
+      gap-set pairs, O(gaps) work each, built ``CHUNK`` at a time with no
+      Python call a solution and at most one chunk ahead of the consumer;
+      the set may be empty.
 
     ``solutions`` is the set itself.  Two sets are equal when they solve
     the same equation, since the equation fixes the members.
@@ -161,10 +185,22 @@ class SolutionSet:
 
     def __iter__(self):
         if self._head is None:
-            return
+            return iter(())
         dom_head, ran_head = self._head
-        for dom_gaps, ks in self._doms(0, dom_head, ()):
-            yield from map(_trusted, repeat(dom_gaps), self._rans(ran_head, ks))
+        return chain.from_iterable(map(self._built, self._doms(0, dom_head, ()), repeat(ran_head)))
+
+    def _built(self, group, ran_head):
+        # the maps of one domain group: its first chunk now, the rest a chunk
+        # at a time as the listing reaches them
+        dom_gaps, ks = group
+        levels, prefix = self._rans(ran_head, ks)
+        if not levels:  # one image
+            return (_trusted(dom_gaps, prefix),)
+        rans = self._kept(levels, 0, prefix)
+        maps = _chunk(dom_gaps, rans)
+        if len(maps) < CHUNK:
+            return maps
+        return chain(maps, chain.from_iterable(iter(partial(_chunk, dom_gaps, rans), [])))
 
     def _doms(self, i, prefix, ks):
         # (domain gaps, the k of every block) of the solutions whose domain
@@ -184,11 +220,13 @@ class SolutionSet:
                 yield from rest
 
     def _rans(self, prefix, ks):
-        # image gaps of the solutions whose blocks leave out ks: block i
-        # keeps all but ks[i] of its free slots, in lexicographic order.  A
-        # block with one way to keep them joins the fixed gaps before it, so
-        # that every level of the walk below has two choices or more and a
-        # solution costs O(gaps), however many blocks there are.
+        # (levels, prefix) for the image gaps of the solutions whose blocks
+        # leave out ks: block i keeps all but ks[i] of its free slots, and
+        # _kept lists them in lexicographic order.  A block with one way to
+        # keep them joins the fixed gaps before it, so that every level of
+        # the walk has two choices or more and a solution costs O(gaps),
+        # however many blocks there are; with no level, prefix is the one
+        # image.
         levels = []  # [free slots, how many to keep, required gaps, fixed gaps after]
         for (_, _, free, required, _, tail, _), k in zip(self._blocks, ks):
             if 0 < k < len(free):
@@ -200,20 +238,19 @@ class SolutionSet:
                 levels[-1][3] += fixed
             else:
                 prefix += fixed
-        return self._kept(levels, 0, prefix) if levels else iter((prefix,))
+        return levels, prefix
 
     def _kept(self, levels, i, prefix):
         free, keep, required, tail = levels[i]
         kept = combinations(free, keep)
         if required:
-            kept = (tuple(sorted(c + required)) for c in kept)
+            kept = map(tuple, map(sorted, map(add, kept, repeat(required))))
         if tail:
-            kept = (c + tail for c in kept)
+            kept = map(add, kept, repeat(tail))
         if i + 1 == len(levels):
-            yield from map(prefix.__add__, kept)
-            return
-        for c in kept:
-            yield from self._kept(levels, i + 1, prefix + c)
+            return map(prefix.__add__, kept)
+        deeper = map(self._kept, repeat(levels), repeat(i + 1), map(prefix.__add__, kept))
+        return chain.from_iterable(deeper)
 
     def __eq__(self, other):
         if not isinstance(other, SolutionSet):

@@ -1,6 +1,7 @@
 """Green's relations, structural witnesses, and the translation solver."""
 
 import time
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from cofmap import (
     solve_left,
     solve_right,
 )
+from cofmap.green import CHUNK
 from cofmap.selftest import all_gapsets
 
 UP = CofMap((), (1,))
@@ -221,6 +223,24 @@ MULTI_BLOCK = [
 ]
 
 
+
+def segment(n):
+    return tuple(range(1, n + 1))
+
+
+def standard_solutions(p, q, side):
+    """The solutions of ``m[;1..p] * x == m[;1..q]`` from the closed form,
+    with no call to the solver: ``m[D;R]`` for ``D`` in [p] and ``R`` in [q]
+    with ``p - |D| == q - |R|``, sorted by ``(D, R)``.  The left mirror,
+    ``x * m[1..p;] == m[1..q;]``, has the swapped pairs ``m[R;D]``, sorted.
+    """
+    pairs = [(d, r) for k in range(max(0, p - q), p + 1) for d in combinations(segment(p), k)
+             for r in combinations(segment(q), q - p + k)]
+    if side == "left":
+        pairs = [(r, d) for d, r in pairs]
+    return [CofMap(d, r) for d, r in sorted(pairs)]
+
+
 class TestSolutionSet:
     @pytest.mark.parametrize("a, b", MULTI_BLOCK)
     @pytest.mark.parametrize("side", ["right", "left"])
@@ -278,3 +298,33 @@ class TestSolutionSet:
         assert hash(solve_right(a, b)) == hash(solve_right(a, b))
         assert solve_right(a, b) != solve_left(a, b)
         assert solve_right(a, b) != solve_right(b, b)
+
+    # 1,716 solutions, or 27,132 with 1,716 of them sharing m[;1..6]'s domain
+    @pytest.mark.parametrize("p, q", [(6, 7), (7, 6), (6, 13)])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_listing_past_one_chunk_matches_closed_form(self, side, p, q):
+        if side == "right":
+            sols = solve_right(CofMap((), segment(p)), CofMap((), segment(q)))
+        else:
+            sols = solve_left(CofMap(segment(p), ()), CofMap(segment(q), ()))
+        want = standard_solutions(p, q, side)
+        assert len(want) == comb(p + q, p) > CHUNK
+        assert list(sols) == want
+        assert sols.count == len(want)
+
+    def test_iterators_over_one_set_are_independent(self):
+        sols = solve_right(CofMap((), segment(6)), CofMap((), segment(7)))
+        first, second = iter(sols), iter(sols)
+        pairs = list(zip(first, second))  # advanced in turn
+        assert len(pairs) == sols.count > CHUNK
+        assert all(x == y for x, y in pairs)
+        assert [x for x, _ in pairs] == list(sols)
+
+    def test_listing_past_one_chunk_of_a_huge_set(self):
+        a = b = CofMap((), segment(40))
+        sols = solve_right(a, b)
+        head = list(islice(sols, 2500))
+        keys = [(x.dom_gaps, x.ran_gaps) for x in head]
+        assert len(head) == 2500
+        assert all(k < k_next for k, k_next in zip(keys, keys[1:]))  # increasing, so distinct
+        assert all(compose(a, x) == b for x in head)
