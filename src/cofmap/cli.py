@@ -35,14 +35,14 @@ members, and an ``N`` above that is a usage error.  ``--rows`` is at most
 ``MAX_ROWS``, and the number of cases of ``stability`` and ``selftest``
 at most ``MAX_CASES``.
 
-Reading argv: an argv of the form ``command positional... option...``,
-with each flag spelled in full, is read straight from :data:`COMMANDS`,
-by the same types and choices that argparse would use.  Any other argv
-(``-h``, ``--``, ``--rows=3``, a negative number, a wrong count, a refused
-value) is parsed by argparse, which prints help and usage errors.  So a
-fresh process for a well-formed command imports neither ``argparse`` nor
-``json``, which is loaded only to print ``--json`` output.  When the
-reader of stdout closes it early, the command exits 1 with no traceback.
+Reading argv: :func:`_read` reads every argv by the grammar that
+:func:`build_parser` builds from the command's row of :data:`COMMANDS`.
+Options go anywhere after the command, as ``--flag value`` or
+``--flag=value``, spelled in full.  Positionals are the tokens that do
+not start with ``-``, a lone ``-`` (stdin, once at most), a negative
+number, a token with a space, and all after ``--``.  ``-h`` or ``--help``
+before any ``--`` prints help, exit 0; a refused argv prints a usage line
+and the error on stderr, exit 2.  A stdout closed early exits 1, quietly.
 """
 
 from __future__ import annotations
@@ -404,13 +404,11 @@ def _map_arg(text: str) -> CofMap:
 
 
 def _bounded(most):
-    """argparse type: an int in [0, most]."""
+    """A type of argument: an int in [0, most]."""
     def count(text):
         n = int(text)
         if not 0 <= n <= most:
-            from argparse import ArgumentTypeError  # argparse is loaded only to report errors
-
-            raise ArgumentTypeError(f"must be between 0 and {most}")
+            raise ValueError(f"must be between 0 and {most}, got {text!r}")
         return n
     return count
 
@@ -557,10 +555,9 @@ def _selftest_report(report, args):
 
 # name -> (help, arguments, function, output shape).  An argument is (name,
 # kind) or (name, kind, default); "--name" is an option.  int and COUNT are
-# read with argv, but ELEM and MAP text is evaluated in main's try: as an
-# argparse type=, a ParseError (a ValueError) would become a usage error.
-# CHOICE picks the function from the row's dict; the other arguments reach it
-# in order.
+# read with argv, ELEM and MAP text in main's try, where a ParseError is a
+# parse error, not a usage error.  CHOICE picks the function from the row's
+# dict; the other arguments reach it in order.
 COMMANDS = {
     "eval": ("evaluate an expression", [("expr", str)], ELEM, _element),
     "apply": ("apply a map expression to a point", [EXPR, ("point", int)], evaluate, _scalar),
@@ -598,132 +595,115 @@ COMMANDS = {
 }
 
 
-# The options of every command, then those a listing adds, as add_argument's
-# keywords.  build_parser and _read both take them from here, so the two
-# readers of argv share one grammar.
-OPTIONS = {
-    "--json": {"action": "store_true", "help": "machine-readable output"},
-    "--rows": {"type": _bounded(MAX_ROWS), "default": 0, "metavar": "K",
-               "help": "also print the first K mapped points as a two-row table"},
-}
-LISTING_OPTIONS = {
-    "--count": {"action": "store_true", "help": "print only the number of members"},
-    "--limit": {"type": _bounded(2 ** LISTING_LIMIT_LOG2), "metavar": "N",
-                "help": "print only the first N members, in order"},
-}
+# The options of every command, and of a listing, as a row of COMMANDS writes
+# an argument, with a default, metavar and help; a switch has kind None.
+OPTIONS = [
+    ("--json", None, False, None, "machine-readable output"),
+    ("--rows", _bounded(MAX_ROWS), 0, "K", "also print the first K mapped points as a two-row table"),
+]
+LISTING_OPTIONS = OPTIONS + [
+    ("--count", None, False, None, "print only the number of members"),
+    ("--limit", _bounded(2 ** LISTING_LIMIT_LOG2), None, "N",
+     "print only the first N members, in order"),
+]
+_NEGATIVE = re.compile(r"-\d+$")
 
 
-def _arguments(name: str) -> list:
-    """Each argument of a command as ``(name, add_argument keywords)``: its
-    row's arguments in order, then :data:`OPTIONS`, then a listing's."""
+@functools.cache
+def build_parser(name: str):
+    """A command's grammar from its row of :data:`COMMANDS`, built on the first call
+    (the traced benchmark run wraps this name): positionals as ``(label, dest, type,
+    choices)``, how many are required, options by flag alike, every dest's default,
+    the usage line and the help lines."""
     _, arguments, fn, shape = COMMANDS[name]
-    out = []
-    for dest, kind, *default in arguments:
-        kw = {"help": "expression ('-' reads stdin)"} if dest == "expr" else {}
-        if kind is int or kind is COUNT:
-            kw["type"] = kind
-        elif kind is CHOICE:
-            kw["choices"] = list(fn)
-        if default:
-            kw["default"] = default[0]
-            if not dest.startswith("-"):
-                kw["nargs"] = "?"
-        out.append((dest, kw))
-    out += OPTIONS.items()
-    if isinstance(shape, _Listing):
-        out += LISTING_OPTIONS.items()
-    return out
-
-
-@functools.cache
-def build_parser():
-    """The argparse tree of :data:`COMMANDS`, built on the first call only;
-    parsing leaves it unchanged, so every call shares it."""
-    import argparse
-
-    p = argparse.ArgumentParser(
-        prog="cofmap",
-        description="exact calculator for cofinite monotone partial bijections "
-                    "(note: g * h applies g first)")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_, *_) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
-        for dest, kw in _arguments(name):
-            sp.add_argument(dest, **kw)
-    return p
-
-
-@functools.cache
-def _grammar(name: str):
-    """A command's arguments as :func:`_read` takes them: the positionals as
-    ``(dest, type, choices)`` in order, how many of them are required, the
-    options by flag as ``(dest, type, choices)`` with type None for a
-    switch, and the default of every dest."""
     positionals, required, options, defaults = [], 0, {}, {"command": name}
-    for flag, kw in _arguments(name):
-        dest = flag.lstrip("-")
-        switch = kw.get("action") == "store_true"
-        defaults[dest] = kw.get("default", False if switch else None)
-        spec = (dest, None if switch else kw.get("type", str), kw.get("choices"))
-        if flag.startswith("-"):
-            options[flag] = spec
+    usage, lines = [f"usage: cofmap {name} [-h]"], [("-h, --help", "show this help and exit")]
+    for dest, kind, *default in arguments + (LISTING_OPTIONS if type(shape) is _Listing else OPTIONS):
+        key, choices = dest.lstrip("-"), tuple(fn) if kind is CHOICE else None
+        type_ = str if kind in (CHOICE, str, ELEM, MAP) else kind
+        defaults[key], *shown = default or [None]
+        metavar, text = shown or (key.upper(), f"one of {', '.join(choices)}" if choices
+                                  else "expression ('-' reads stdin)" if type_ is str
+                                  else "integer" + (f", default {default[0]}" if default else ""))
+        if dest.startswith("-"):
+            options[dest] = (dest, key, type_, choices)
         else:
-            positionals.append(spec)
-            required += "nargs" not in kw
-    return positionals, required, options, defaults
+            positionals.append((dest, key, type_, choices))
+            required += not default
+        label = f"{dest} {metavar}" if dest in options and kind is not None else dest
+        usage.append(f"[{label}]" if default else label)
+        lines.append((label, text))
+    return positionals, required, options, defaults, " ".join(usage), lines
+
+
+def _stop(name, error=None) -> SystemExit:
+    """Print a command's help (cofmap's if name is None), giving ``SystemExit(0)``;
+    or with an error its usage line and the error on stderr, giving ``SystemExit(2)``."""
+    usage, lines = build_parser(name)[4:] if name else (
+        "usage: cofmap [-h] COMMAND ...", [(command, row[0]) for command, row in COMMANDS.items()])
+    if error:
+        print(f"{usage}\ncofmap{' ' + name if name else ''}: error: {error}", file=sys.stderr)
+        return SystemExit(2)
+    about = COMMANDS[name][0] if name else (
+        "exact calculator for cofinite monotone partial bijections (note: g * h applies g first)")
+    width = max(len(label) for label, _ in lines)
+    print("\n".join([usage, "", about, "", *(f"  {label:{width}}  {text}" for label, text in lines)]))
+    return SystemExit(0)
 
 
 def _read(argv):
-    """The namespace :func:`build_parser` gives for ``argv``, read straight
-    from :data:`COMMANDS` when ``argv`` is ``command positional...
-    option...``; None for any other argv, which argparse then parses and
-    reports.
-
-    A token that starts with ``-`` is an option only if it is exactly one
-    of the command's flags, and it ends the positionals: ``-h``, ``--``,
-    ``--rows=3``, an abbreviated flag and a negative number are all left to
-    argparse.  A lone ``-`` (stdin) is a positional, as argparse reads it.
-    Left to argparse too are a wrong number of positionals, an option with
-    no value, and a value that its type or choices refuse.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    positionals, required, options, defaults = _grammar(argv[0])
-    end = next((i for i, t in enumerate(argv) if t.startswith("-") and t != "-"), len(argv))
-    if not required <= end - 1 <= len(positionals):
-        return None
-    values = dict(defaults)
-    given = list(zip(positionals, argv[1:end]))
-    i = end
-    while i < len(argv):
-        spec = options.get(argv[i])
-        if spec is None:
-            return None
-        if spec[1] is None:  # a switch
-            values[spec[0]] = True
-            i += 1
-        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
-            given.append((spec, argv[i + 1]))
-            i += 2
+    """The namespace of ``argv`` by the module docstring's rules; help and usage errors exit."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in head or "--help" in head:
+        raise _stop(name)
+    if name is None:
+        raise _stop(None, f"argument command: invalid choice {argv[0]!r} (choose from "
+                          f"{', '.join(COMMANDS)})" if argv else "a command is required")
+    positionals, required, options, defaults, *_ = build_parser(name)
+    values, texts, given = dict(defaults), [], []
+    tokens = islice(head, 1, None)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            texts.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        spec = options.get(flag)
+        if spec is None and (" " in token or _NEGATIVE.match(token)):
+            texts.append(token)
+            continue
+        if spec is None or eq and spec[2] is None:  # a switch takes no value
+            raise _stop(name, f"unrecognized argument {token!r}")
+        if spec[2] is None:
+            values[spec[1]] = True
+        elif eq or (text := next(tokens, None)) is not None:
+            given.append((spec, text))
         else:
-            return None
-    for (dest, type_, choices), text in given:
+            raise _stop(name, f"argument {flag}: expected a value")
+    texts += argv[len(head) + 1:]
+    if len(texts) < required:
+        raise _stop(name, "the following arguments are required: "
+                    + ", ".join(dest for dest, *_ in positionals[len(texts):required]))
+    if len(texts) > len(positionals):
+        raise _stop(name, f"unrecognized argument {texts[len(positionals)]!r}")
+    if texts.count("-") > 1:
+        second = positionals[texts.index("-", texts.index("-") + 1)][1]
+        raise _stop(name, f"argument {second}: stdin ('-') is read by an earlier argument")
+    given += zip(positionals, texts)
+    for (label, dest, type_, choices), text in given:
         try:
             value = type_(text)
-        except Exception:  # argparse reports what a type refuses, or raises what it does not catch
-            return None
+        except ValueError as exc:
+            raise _stop(name, f"argument {label}: {exc}") from None
         if choices is not None and value not in choices:
-            return None
+            raise _stop(name, f"argument {label}: invalid choice {text!r} "
+                              f"(choose from {', '.join(choices)})")
         values[dest] = value
     return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _read(argv)
-    if args is None:  # help and usage errors, printed by argparse
-        args = build_parser().parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
     _, arguments, fn, shape = COMMANDS[args.command]
     try:
         values = []

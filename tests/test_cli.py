@@ -286,7 +286,8 @@ class TestMainExitCodes:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "error: result has a number with more than 4300 digits\n")
 
-    @pytest.mark.parametrize("argv", [["apply", "m[;1]", "0"], ["apply", "m[;1]", "--", "-4"]])
+    @pytest.mark.parametrize("argv", [["apply", "m[;1]", "0"], ["apply", "m[;1]", "--", "-4"],
+                                      ["apply", "m[;1]", "-4"], ["apply", "--json", "m[;1]", "-4"]])
     def test_apply_outside_the_positive_integers_is_1(self, capsys, argv):
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: maps act on positive integers\n"
@@ -446,23 +447,27 @@ class TestIO:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (r.returncode, r.stdout) == (0, "[]\n")
 
-    def test_well_formed_argv_loads_neither_argparse_nor_json(self):
-        def imported(r):  # the module names that -X importtime lists on stderr
-            return {line.rsplit("|", 1)[1].strip() for line in r.stderr.decode().splitlines()
-                    if line.startswith("import time:")}
+    def test_no_argv_loads_argparse_or_gettext(self):
+        # json is loaded only to print --json output
+        def imported(*argv, stdin=None):  # the module names that -X importtime lists on stderr
+            r = run_cli(*argv, stdin=stdin, python_options=("-X", "importtime"))
+            names = {line.rsplit("|", 1)[1].strip() for line in r.stderr.decode().splitlines()
+                     if line.startswith("import time:")}
+            assert "cofmap.cli" in names and not {"argparse", "gettext"} & names
+            return r, names
 
-        r = run_cli("eval", "id", python_options=("-X", "importtime"))
-        assert (r.returncode, r.stdout) == (0, b"m[;]\n")
-        assert "cofmap.cli" in imported(r)
-        assert not {"argparse", "gettext", "json"} & imported(r)
-        r = run_cli("eval", "-", stdin=b"m[;1]", python_options=("-X", "importtime"))
-        assert (r.returncode, r.stdout) == (0, b"m[;1]\n")
-        assert not {"argparse", "gettext", "json"} & imported(r)
-        r = run_cli("eval", "id", "--json", python_options=("-X", "importtime"))
-        assert (r.returncode, r.stdout) == (0, b'{"dom_gaps":[],"ran_gaps":[]}\n')
-        assert "json" in imported(r) and "argparse" not in imported(r)
-        r = run_cli("-h")
-        assert r.returncode == 0 and r.stdout.startswith(b"usage: cofmap [-h]")
+        r, names = imported("eval", "id")
+        assert (r.returncode, r.stdout) == (0, b"m[;]\n") and "json" not in names
+        r, names = imported("eval", "-", stdin=b"m[;1]")
+        assert (r.returncode, r.stdout) == (0, b"m[;1]\n") and "json" not in names
+        r, names = imported("eval", "id", "--json")
+        assert (r.returncode, r.stdout) == (0, b'{"dom_gaps":[],"ran_gaps":[]}\n') and "json" in names
+        for argv in (["-h"], ["eval", "-h"]):
+            r, _ = imported(*argv)
+            assert r.returncode == 0 and r.stdout.startswith(b"usage: cofmap")
+        for argv in (["frobnicate"], ["eval", "id", "--js"]):
+            r, _ = imported(*argv)
+            assert (r.returncode, r.stdout) == (2, b"")
 
     def test_reader_that_closes_early_gets_exit_1_and_no_traceback(self):
         # 3.5 MB of output, far more than a pipe holds, so the write fails
@@ -597,16 +602,16 @@ GOLDEN.append((
 
 class TestGoldenOutputs:
     def test_every_subcommand_is_covered(self):
-        from cofmap.cli import build_parser
+        assert {argv[0] for argv, *_ in GOLDEN} == set(COMMANDS)
 
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert {argv[0] for argv, *_ in GOLDEN} == set(sub.choices)
-
+    # each spelling of the options, with the index of its output in a GOLDEN row;
+    # a value may be joined to its flag by "=", and a repeated switch is one switch
     @pytest.mark.parametrize(
         "argv,want",
-        [(argv + flags, want)
+        [(argv + flags, outs[i])
          for argv, *outs in GOLDEN
-         for flags, want in zip(([], ["--json"], ["--rows", "3"]), outs)],
+         for flags, i in (([], 0), (["--json"], 1), (["--rows", "3"], 2), (["--rows=3"], 2),
+                          (["--json", "--rows", "0", "--json"], 1))],
         ids=lambda x: " ".join(x) if isinstance(x, list) else "",
     )
     def test_byte_exact(self, capsys, argv, want):
@@ -615,13 +620,40 @@ class TestGoldenOutputs:
         assert (out.out, out.err) == (want, "")
 
 
-# tokens that argparse reads in its own way: the direct reader leaves each to it
-STRAY = ["--", "-h", "--rows=3", "--js", "-4", "-"]
+def _split(argv):
+    """The options of a well-formed argv, each value joined to its flag by
+    "=", and its positionals."""
+    options, texts, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        if token in ("--json", "--count"):
+            options.append(token)
+        elif token.startswith("--"):
+            options.append(f"{token}={next(tokens)}")
+        else:
+            texts.append(token)
+    return options, texts
 
 
 def _argparse_vars(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return vars(build_parser().parse_args(argv))
+    """What argparse, given a command's grammar and no abbreviations or -h,
+    reads from ``argv``: the namespace's dict, or None where it refuses ``argv``."""
+    import argparse
+
+    positionals, required, options, defaults, *_ = build_parser(argv[0])
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    for i, (_, dest, type_, choices) in enumerate(positionals):
+        optional = {} if i < required else {"nargs": "?", "default": defaults[dest]}
+        parser.add_argument(dest, type=type_, choices=choices, **optional)
+    for flag, dest, type_, _ in options.values():
+        if type_ is None:
+            parser.add_argument(flag, action="store_true")
+        else:
+            parser.add_argument(flag, type=type_, default=defaults[dest])
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return {"command": argv[0], **vars(parser.parse_args(argv[1:]))}
+    except SystemExit:
+        return None
 
 
 class TestArgv:
@@ -632,29 +664,122 @@ class TestArgv:
         ["eval", "-"],
     ], ids=" ".join)
     def test_well_formed_argv_is_read_directly(self, argv):
-        direct = _read(argv)
-        assert direct is not None and vars(direct) == _argparse_vars(argv)
+        options, texts = _split(argv)
+        args = _read(argv)
+        # the same namespace with the options first, each value joined by "="
+        assert vars(_read([argv[0], *options, *texts])) == vars(args)
+        dests = [dest for dest, *_ in COMMANDS[argv[0]][1] if not dest.startswith("-")]
+        assert [str(getattr(args, dest)) for dest in dests[:len(texts)]] == texts
+        for option in options:
+            flag, eq, value = option.partition("=")
+            assert getattr(args, flag[2:]) == (int(value) if eq else True)
+        assert args.json == ("--json" in options) and args.rows == (3 if "--rows=3" in options else 0)
 
-    @pytest.mark.parametrize("argv", [
-        ["eval"], ["eval", "x", "y"], ["frobnicate"], [], ["eval", "id", "--rows"],
-        ["leq", "sideways", "id", "id"], ["upset", "m[1;1]", "--limit", "x"],
-        ["upset", "m[1;1]", "--limit", "65537"], ["eval", "id", "--count"],
-        ["stability", "3", "m[;1]", "--json", "40"],
-        *(["eval", "id", token] for token in STRAY),
-    ], ids=" ".join)
-    def test_everything_else_is_left_to_argparse(self, argv):
-        assert _read(argv) is None
+    def test_trailing_double_dash(self, capsys):
+        assert main(["eval", "id", "--"]) == 0
+        assert capsys.readouterr().out == "m[;]\n"
+
+    def test_after_double_dash_every_token_is_a_positional(self, capsys):
+        assert main(["eval", "--", "-h"]) == 2
+        assert capsys.readouterr().err == "parse error: expected an element, '(' or 'id' (at 0..1)\n"
+        assert main(["eval", "--", "--json"]) == 2
+
+    def test_empty_expression_is_a_parse_error(self, capsys):
+        assert main(["eval", ""]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "parse error: expected an element, '(' or 'id' (at 0..1)\n")
+
+    def test_optional_positional_after_an_option(self, capsys):
+        # the positionals need not come before the options
+        assert main(["stability", "3", "m[;1]", "--json", "40"]) == 0
+        assert capsys.readouterr().out == '{"bound":4,"cases":40,"violations":0}\n'
+
+    def test_one_dash_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("m[;1]"))
+        assert main(["green", "R", "-", "m[;1] * m[1;1]"]) == 0
+        assert capsys.readouterr().out == "true\n"
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_direct_reader_agrees_with_argparse(self, data):
-        name = data.draw(st.sampled_from([*COMMANDS, "frobnicate"]))
-        tokens = [*STRAY, "--json", "--rows", "--count", "--limit", "--seed", "--cases",
-                  "R", "nat", "left", "Q", "0", "3", "1001", "65537", "x", "", "id", "m[;1]"]
+        # whatever argparse accepts, the reader reads alike, but a second "-";
+        # argparse does not read a second "--" as a positional, as the reader does
+        name = data.draw(st.sampled_from(list(COMMANDS)))
+        tokens = ["--", "-h", "--rows=3", "--js", "-4", "-", "--json", "--rows", "--count",
+                  "--limit", "--seed", "--cases", "R", "nat", "left", "Q", "0", "3", "1001",
+                  "65537", "x", "", "id", "m[;1]"]
         argv = [name, *data.draw(st.lists(st.sampled_from(tokens), max_size=7))]
-        direct = _read(argv)
-        if direct is not None:
-            assert vars(direct) == _argparse_vars(argv)
+        want = _argparse_vars(argv) if argv.count("--") < 2 else None
+        if want is None:
+            return
+        if argv.count("-") > 1:
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+                _read(argv)
+            assert exc.value.code == 2
+        else:
+            assert vars(_read(argv)) == want
+
+
+# argv that the reader refuses, with the start of the error line after the usage line
+USAGE_ERRORS = [
+    ([], "cofmap: error: a command is required"),
+    (["frobnicate"], "cofmap: error: argument command: invalid choice 'frobnicate' (choose from eval, "),
+    (["eval"], "cofmap eval: error: the following arguments are required: expr"),
+    (["eval", "x", "y"], "cofmap eval: error: unrecognized argument 'y'"),
+    (["eval", "id", "-4"], "cofmap eval: error: unrecognized argument '-4'"),
+    (["eval", "id", "-"], "cofmap eval: error: unrecognized argument '-'"),
+    (["leq", "sideways", "id", "id"],
+     "cofmap leq: error: argument order: invalid choice 'sideways' (choose from nat, canon)"),
+    (["upset", "m[1;1]", "--limit", "x"], "cofmap upset: error: argument --limit: invalid literal for int()"),
+    (["upset", "m[1;1]", "--limit", "65537"],
+     "cofmap upset: error: argument --limit: must be between 0 and 65536, got '65537'"),
+    (["eval", "id", "--rows"], "cofmap eval: error: argument --rows: expected a value"),
+    (["eval", "id", "--count"], "cofmap eval: error: unrecognized argument '--count'"),
+    (["eval", "id", "--js"], "cofmap eval: error: unrecognized argument '--js'"),
+    (["eval", "--json=1", "id"], "cofmap eval: error: unrecognized argument '--json=1'"),
+    # stdin is read once: a second "-" would read it after it is used up
+    (["green", "R", "-", "-"], "cofmap green: error: argument second: stdin ('-') is read by an earlier"),
+    (["gcong", "-", "-", "--json"], "cofmap gcong: error: argument second: stdin ('-') is read by an earlier"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,error", USAGE_ERRORS,
+                             ids=[" ".join(argv) or "no command" for argv, _ in USAGE_ERRORS])
+    def test_usage_line_then_error(self, capsys, monkeypatch, argv, error):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("m[;1]"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        usage, line = out.err.splitlines()
+        name = argv[0] if argv and argv[0] in COMMANDS else None
+        assert usage.startswith(f"usage: cofmap {name} [-h]" if name else "usage: cofmap [-h]")
+        assert line.startswith(error)
+        assert sys.stdin.read() == "m[;1]"  # a refused argv reads nothing
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["frobnicate", "--help"], ["eval", "-h"], ["eval", "id", "-h"],
+        ["solve", "x", "--help", "--", "-h"], ["upset", "--limit", "-h"], ["selftest", "--cases=1", "-h"],
+    ], ids=" ".join)
+    def test_help_on_stdout_and_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.err) == (0, "")
+        lines = out.out.splitlines()
+        if argv[0] not in COMMANDS:  # each command with its help string
+            assert lines[0].startswith("usage: cofmap [-h]")
+            listed = {line.split()[0]: line.split(None, 1)[1] for line in lines if line.startswith("  ")}
+            assert listed == {name: row[0] for name, row in COMMANDS.items()}
+        else:  # the command's help string, then each of its arguments
+            name, (help_, arguments, _, shape) = argv[0], COMMANDS[argv[0]]
+            assert lines[0].startswith(f"usage: cofmap {name} [-h]") and lines[2] == help_
+            flags = {line.split()[0] for line in lines if line.startswith("  -")}
+            want = {"-h,", "--json", "--rows", *(dest for dest, *_ in arguments if dest.startswith("-"))}
+            assert flags == want | ({"--count", "--limit"} if name in ("solve", "upset") else set())
 
 
 class TestEvalErrorSpans:
@@ -870,7 +995,8 @@ CASES = ["0", "1", "3", "-4", "x", "10001"]  # stability and selftest, at most M
 FLAGS = [
     ["--json"], ["--rows", "3"], ["--rows", "1001"], ["--count"], ["--limit", "3"],
     ["--limit", "65537"], ["--limit", "100000000000"], ["--limit", "-1"],
-    ["--seed", "5"], ["--cases", "3"], *([token] for token in STRAY if token != "-"),
+    ["--seed", "5"], ["--cases", "3"], ["--"], ["-h"], ["--help"], ["--rows=3"], ["--js"], ["-4"],
+    ["--json=1"], ["--limit=3"], ["--rows="], ["--seed=-5"], [""],
 ]
 
 
@@ -910,8 +1036,10 @@ class TestExitCodeContract:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse's help and usage errors
+            except SystemExit as exc:  # help and usage errors
                 code = exc.code
         assert code in (0, 1, 2)
         if code:
             assert out.getvalue() == ""
+        if code == 2 and not err.getvalue().startswith("parse error: "):
+            assert err.getvalue().startswith("usage: cofmap")
