@@ -16,9 +16,11 @@ first; this is the opposite of the classical function-composition order.
 Numbers are written in Unicode decimal digits, which ``int`` reads:
 ``m[١;]`` is ``m[1;]``, while a superscript such as ``²`` is not a digit.
 
-Parsing reads each element, each of ``* ( )`` and each run of primes
-with one match of one compiled regular expression, so its cost follows the
-number of elements and gaps, with no Python call per character or prime.
+Parsing takes one regular expression match per term (an element or ``(``)
+and one per run of primes or operator (``*``, ``)``), and splits a map's gap
+lists with ``str`` methods, so its cost follows the number of terms and gaps,
+with no Python step per character, prime or number.  A nested pattern that
+places an error runs only on a term that does not read.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -52,6 +54,7 @@ import os
 import re
 import sys
 from itertools import islice
+from operator import lt
 from types import SimpleNamespace
 
 from .bicyclic import (
@@ -141,20 +144,13 @@ class Mul:
         self.span = span
 
 
-# One match of _TOKEN reads the whitespace before a token and then one
-# element, one of * ( ), or a run of primes with any whitespace between
-# them.  Each part of an element after its letter is optional and nested in
-# the part before it, so a malformed element still matches up to its first
-# bad character, and _malformed tells what was expected there.  Group 1 is
-# the token; then the gap lists and "]" of a map, the numbers and "]" of a
-# bicyclic element, and the number and "]" of an integer.
-_LIST = r"\d+(?:\s*,\s*\d+)*"
-_TOKEN = re.compile(rf"""\s*(
-    m(?:\s*\[(?:\s*({_LIST}))?(?:\s*;(?:\s*({_LIST}))?(?:\s*(\]))?)?)?
-  | b(?:\s*\[(?:\s*(\d+)(?:\s*,(?:\s*(\d+)(?:\s*(\]))?)?)?)?)?
-  | z(?:\s*\[(?:\s*([+-]?\d+)(?:\s*(\]))?)?)?
-  | id | [O*()] | '(?:\s*')*
-)?""", re.VERBOSE)
+# _TERM reads a whole term after any whitespace (group 1): a map's bracket
+# text (group 2), the numbers of b[m,n] and z[k], "id", "O" or "(".  _AFTER
+# reads what may follow a term: a run of primes with any whitespace between
+# them (group 1), then "*", ")" or nothing (group 2).
+_TERM = re.compile(r"\s*(m\s*\[([\d\s,;]*)\]|b\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]"
+                   r"|z\s*\[\s*([+-]?\d+)\s*\]|id|[O(])")
+_AFTER = re.compile(r"\s*('(?:\s*')*)?\s*([*)]?)")
 _SPACE = re.compile(r"\s*")
 _strip = str.strip  # \s matches "\x1c".."\x1f", which int() does not strip
 
@@ -162,33 +158,31 @@ _strip = str.strip  # \s matches "\x1c".."\x1f", which int() does not strip
 def parse(text: str):
     """Parse an expression; raises :class:`ParseError` on bad syntax.
 
-    Each element, each operator and each run of primes is one match of
-    ``_TOKEN``; the parentheses open around the current product are kept
-    on a stack, so nothing recurses.
+    Each term is one match of ``_TERM`` and each run of primes with the
+    operator after it one match of ``_AFTER``; the parentheses open around
+    the current product are kept on a stack, so nothing recurses.
     """
-    match = _TOKEN.match
+    term, after = _TERM.match, _AFTER.match
     outer = []  # the factors of each enclosing product, innermost last
     factors = []  # the factors of the current product
     pos = 0
     while True:
         # a term: an element or "("
-        tok = match(text, pos)
+        tok = term(text, pos)
+        if tok is None:
+            _malformed(text, pos)
         start, pos = tok.span(1)
-        head = text[start] if start >= 0 else ""
+        head = text[start]
         if head == "m":
-            dom, ran, close = tok.group(2, 3, 4)
-            if close is None:
-                _malformed(text, tok)
-            node = Lit(_trusted(_gaps(text, tok, 2) if dom else (),
-                                _gaps(text, tok, 3) if ran else ()), (start, pos))
+            try:
+                dom, ran = tok[2].split(";")
+                node = Lit(_trusted(_gap_list(dom), _gap_list(ran)), (start, pos))
+            except ValueError:  # not one ";", or a list that is not a gap set
+                _malformed(text, start)
         elif head == "b":
-            if tok.group(7) is None:
-                _malformed(text, tok)
-            node = Lit(Bicyclic(_number(tok, 5), _number(tok, 6)), (start, pos))
+            node = Lit(Bicyclic(_number(tok, 3), _number(tok, 4)), (start, pos))
         elif head == "z":
-            if tok.group(9) is None:
-                _malformed(text, tok)
-            node = Lit(_number(tok, 8), (start, pos))
+            node = Lit(_number(tok, 5), (start, pos))
         elif head == "(":
             if len(outer) == MAX_NESTING:
                 raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", (start, pos))
@@ -197,37 +191,46 @@ def parse(text: str):
             continue
         elif head == "O":
             node = Lit(ZERO, (start, pos))
-        elif head == "i":
-            node = Lit(IDENTITY, (start, pos))
         else:
-            at = tok.end() if start < 0 else start
-            raise ParseError("expected an element, '(' or 'id'", (at, at + 1))
+            node = Lit(IDENTITY, (start, pos))
         # a run of primes, then "*", ")" or the end
         while True:
-            tok = match(text, pos)
-            start, end = tok.span(1)
-            head = text[start] if start >= 0 else ""
-            if head == "'":
+            tok = after(text, pos)
+            if tok[1]:
+                start, end = tok.span(1)
                 if type(node) is Lit and isinstance(node.value, (int, AdjoinedZero)):
                     raise ParseError("integers and the zero have no inverse", (start, start + 1))
                 node = Inv(node, text.count("'", start, end), start + 1, (node.span[0], end))
-                pos = end
-                continue
+            op = tok[2]
+            pos = tok.end()
             factors.append(node)
-            if head == "*":
-                pos = end
+            if op == "*":
                 break
             node = factors[0] if len(factors) == 1 else \
                 Mul(tuple(factors), (factors[0].span[0], node.span[1]))
-            if head == ")" and outer:
-                factors, pos = outer.pop(), end
+            if op and outer:
+                factors = outer.pop()
                 continue
-            at = tok.end() if start < 0 else start
+            at = pos - len(op)
             if outer:
                 raise ParseError("expected ')'", (at, at + 1))
             if at != len(text):
                 raise ParseError("trailing input", (at, len(text)))
             return node
+
+
+def _gap_list(text: str) -> tuple:
+    # The gaps of one list of a map's bracket text; ValueError if it is not
+    # a list of positive, strictly increasing numbers.
+    try:
+        gaps = tuple(map(int, text.split(","))) if "," in text else (int(text),) if text else ()
+    except ValueError:  # blanks, a separator int() does not strip, or no number
+        if not _strip(text):
+            return ()
+        gaps = tuple(map(int, map(_strip, text.split(","))))
+    if gaps and (gaps[0] < 1 or len(gaps) > 1 and not all(map(lt, gaps, gaps[1:]))):
+        raise ValueError
+    return gaps
 
 
 def _number(match, group: int) -> int:
@@ -238,8 +241,22 @@ def _number(match, group: int) -> int:
         raise ParseError(f"number has more than {limit} digits", match.span(group)) from None
 
 
+@functools.cache  # compiled on the first error only
+def _partial():
+    # An element whose parts after its letter are each optional and nested
+    # in the part before, so that a malformed one matches up to its first
+    # bad character.  Group 1 is the element; then the gap lists and "]" of
+    # a map, the numbers and "]" of b[m,n], and the number and "]" of z[k].
+    gaps = r"\d+(?:\s*,\s*\d+)*"
+    return re.compile(rf"""\s*(
+        m(?:\s*\[(?:\s*({gaps}))?(?:\s*;(?:\s*({gaps}))?(?:\s*(\]))?)?)?
+      | b(?:\s*\[(?:\s*(\d+)(?:\s*,(?:\s*(\d+)(?:\s*(\]))?)?)?)?)?
+      | z(?:\s*\[(?:\s*([+-]?\d+)(?:\s*(\]))?)?)?
+    )""", re.VERBOSE)
+
+
 def _gaps(text: str, tok, group: int, open_end=False) -> tuple:
-    # The gap set of a gap list matched by _TOKEN; the span of a bad one
+    # The gap set of a gap list matched by _partial(); the span of a bad one
     # runs from its first digit past the whitespace after its last.  With
     # open_end, the match stopped after this list, maybe at a "," with no
     # number after it.
@@ -259,15 +276,20 @@ def _gaps(text: str, tok, group: int, open_end=False) -> tuple:
         raise ParseError(str(exc), (s, _SPACE.match(text, e).end())) from None
 
 
-def _malformed(text: str, tok):
-    """Raise the error of an element that ``tok`` matched only in part.
+def _malformed(text: str, pos: int):
+    """Raise the error of the term at ``pos``, which :func:`parse` refused.
 
-    The match stops where the element went wrong, and the last character
-    it took says what was expected there.  What the match did take is
-    checked first, in reading order: its numbers are converted (``int``
-    refuses very long ones), then its gap lists are checked, so a bad list
-    is reported before a missing separator after it.
+    ``_partial()`` matches an element up to where it went wrong, and the
+    last character it took says what was expected there.  What the match
+    did take is checked first, in reading order: its numbers are converted
+    (``int`` refuses very long ones), then its gap lists are checked, so a
+    bad list is reported before a missing separator after it.  A term that
+    passes every check is a fault of the reader, never a value.
     """
+    tok = _partial().match(text, pos)
+    if tok is None:
+        at = _SPACE.match(text, pos).end()
+        raise ParseError("expected an element, '(' or 'id'", (at, at + 1))
     end = tok.end()
     at = _SPACE.match(text, end).end()
     last = text[end - 1]
@@ -285,6 +307,8 @@ def _malformed(text: str, tok):
         numbers = [_number(tok, g) for g in (5, 6, 8) if tok.group(g)]
         full = len(numbers) == (2 if head == "b" else 1)
         expected = "']'" if full else "a number" if last in ",[" else "','" if numbers else "'['"
+    if last == "]":
+        raise AssertionError(f"the reader refused a well-formed term at {pos} of {text!r}")
     raise ParseError(f"expected {expected}", (at, at + 1))
 
 

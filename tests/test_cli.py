@@ -64,6 +64,15 @@ SYNTAX_ERRORS = [
     ("m[0,;]", "expected a number (at 4..5)"),
     ("m[;1,]", "expected a number (at 5..6)"),
     ("m[;+1]", "expected a number (at 3..4)"),
+    ("m[,1;]", "expected a number (at 2..3)"),
+    ("m[1,,2;]", "expected a number (at 4..5)"),
+    ("m[3,2 1;]", "gap entries must be strictly increasing, got (3, 2) (at 2..6)"),
+    ("m[;1,2,]", "expected a number (at 7..8)"),
+    ("m[1,2", "expected ';' (at 5..6)"),
+    ("m[;1;]", "expected ']' (at 4..5)"),
+    ("m[;00]", "gap entries must be positive integers, got 0 (at 3..5)"),
+    ("m[;1 x]", "expected ']' (at 5..6)"),
+    ("m[;]]", "trailing input (at 4..5)"),
     # bicyclic elements
     ("b 1", "expected '[' (at 2..3)"),
     ("b[1]", "expected ',' (at 3..4)"),
@@ -144,6 +153,15 @@ class TestParse:
         b = eval_expr(parse("m[1,2;3]*(m[;1]')"))
         assert a == b
 
+    @pytest.mark.parametrize("text,want", [
+        ("m[1\x1c,2;]", "m[1,2;]"), ("m[\t1\n,2;]", "m[1,2;]"), ("m[١,٢;]", "m[1,2;]"),
+        ("m[ ; ]", "m[;]"), ("m[;01,2]", "m[;1,2]"), ("m[;1 ]", "m[;1]"),
+    ])
+    def test_gap_list_spellings(self, text, want):
+        # separators int() does not strip, other whitespace, other digits
+        # and leading zeros all read as the plain list
+        assert eval_expr(parse(text)) == eval_expr(parse(want))
+
     def test_inversion_and_grouping(self):
         assert eval_expr(parse("m[2;1,3]'")) == CofMap((1, 3), (2,))
         assert eval_expr(parse("b[2,3]'")) == Bicyclic(3, 2)
@@ -172,7 +190,7 @@ class TestParse:
 
     @settings(max_examples=500)
     @given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
-           st.sampled_from(("", "m[", "b[", "z[", "m[1,")))
+           st.sampled_from(("", "m[", "b[", "z[", "m[1,", "m[,", "m[1 ", "m[;1,", "m[\x1c")))
     def test_only_parse_errors(self, text, head):
         text = head + text
         # every string either parses, and its value round-trips through the
@@ -854,6 +872,11 @@ primed_values = mixed_values.flatmap(
 )
 
 
+# whitespace that may stand before and after every bracket, separator and operator
+SPACING = st.sampled_from(("", " ", "\t", "\n", "\x1c"))
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
 class TestChains:
     @given(st.lists(primed_values, min_size=1, max_size=40))
     def test_random_chain_is_the_left_fold(self, chain):
@@ -864,6 +887,29 @@ class TestChains:
                 eval_expr(parse(text))
         else:
             assert eval_expr(parse(text)) == functools.reduce(reference_mul, values)
+
+    @given(st.lists(st.tuples(primed_values, st.booleans()), min_size=1, max_size=12), st.data())
+    def test_spacing_and_digits_keep_the_value(self, chain, data):
+        # a chain as above, some factors in parentheses, read once plain
+        # and once with drawn whitespace around every one of [ ] ; , * ( ) '
+        # and some numbers in Arabic-Indic digits
+        plain = " * ".join((f"({render(v)})" if wrap else render(v)) + "'" * k
+                           for (v, k), wrap in chain)
+        spelled = []
+        for piece in re.split(r"(\d+)", plain):
+            if piece.isdigit():
+                spelled.append(piece.translate(ARABIC_INDIC) if data.draw(st.booleans()) else piece)
+                continue
+            spelled += (data.draw(SPACING) + c + data.draw(SPACING) if c in "[];,*()'" else c
+                        for c in piece)
+        text = "".join(spelled)
+        try:
+            want = eval_expr(parse(plain))
+        except ExprTypeError:
+            with pytest.raises(ExprTypeError):
+                eval_expr(parse(text))
+        else:
+            assert eval_expr(parse(text)) == want
 
 
 def _segment_text(k):
