@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import cofmap
 from cofmap import (
+    Bicyclic,
     CofMap,
     IDENTITY,
     MAX_SEGMENT,
     canonical_leq,
     compose,
+    embed,
     evaluate,
     gapset,
     initial_segment,
@@ -94,6 +96,34 @@ def wide_pairs():
 
 
 WIDE_PAIRS = wide_pairs()
+
+
+@st.composite
+def small_and_large(draw):
+    """(small, large): a map with 0 to 4 gaps a side and one with 100 to
+    400 gaps in all.  ``compose`` walks a pair whose large factor has at
+    most 16 s + 32 gaps, s the small factor's, and treats it as skewed
+    past that; the sizes fall on both sides.  Some gaps of the small map
+    are gaps of the large one where the two meet in a product (its domain
+    gaps among the large image gaps, its image gaps among the large domain
+    gaps), and some small maps are idempotents, whose runs move by 0."""
+    rng = draw(st.randoms(use_true_random=False))
+    k_dom = draw(st.integers(0, 4))
+    k_ran = k_dom if draw(st.booleans()) else draw(st.integers(0, 4))
+    bound = 16 * (k_dom + k_ran) + 32
+    total = draw(st.integers(100, min(max(bound, 100), 400)) | st.integers(max(bound + 1, 100), 400))
+    hi = 4 * total
+    n_dom = rng.randint(0, total)
+    large = CofMap(sample_gaps(rng, n_dom, hi), sample_gaps(rng, total - n_dom, hi))
+
+    def side(k, shared):
+        from_large = rng.sample(shared, min(len(shared), draw(st.integers(0, k))))
+        rest = [q for q in range(1, hi + 20) if q not in from_large]
+        return tuple(sorted(from_large + rng.sample(rest, k - len(from_large))))
+
+    dom = side(k_dom, large.ran_gaps)
+    ran = dom if k_ran == k_dom and draw(st.booleans()) else side(k_ran, large.dom_gaps)
+    return CofMap(dom, ran), large
 
 
 class TestConstruction:
@@ -225,6 +255,25 @@ class TestCompose:
         got = compose(g, h)
         for x in range(1, upto + 1):
             assert evaluate(got, x) == want.get(x)
+
+    @given(small_and_large())
+    def test_small_by_large_matches_pointwise_oracle(self, pair):
+        small, large = pair
+        n, slack, upto = wide_window(small, large)
+        sm, lm = oracle_map(small, n, slack), oracle_map(large, n, slack)
+        for g, h, gm, hm in ((small, large, sm, lm), (large, small, lm, sm)):
+            want = two_row_compose(gm, hm)
+            got = compose(g, h)
+            assert got == CofMap(got.dom_gaps, got.ran_gaps)
+            for x in range(1, upto + 1):
+                assert evaluate(got, x) == want.get(x)
+
+    def test_small_by_standard_copy_of_large_shift(self):
+        # m[5,9;2,7] is 1->1, 2->3, 3->4, 4->5, 6->6, 7->8, 8->9 and x->x
+        # from 10 on; the standard copy of b[0,10**5] adds 10**5 to every
+        # point, so the image misses 1..10**5 and the shifted gaps 2 and 7
+        want = CofMap((5, 9), (*range(1, 10**5 + 1), 10**5 + 2, 10**5 + 7))
+        assert CofMap((5, 9), (2, 7)) * embed(Bicyclic(0, 10**5)) == want
 
     @pytest.mark.parametrize("shape,g,h", WIDE_PAIRS, ids=[p[0] for p in WIDE_PAIRS])
     def test_results_equal_validated_construction(self, shape, g, h):
