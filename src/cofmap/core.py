@@ -141,10 +141,10 @@ def preimage(g: CofMap, v: int) -> int | None:
 def _pull(points: GapSet, skip: GapSet, gaps: GapSet) -> list[int]:
     # For each of `points` outside `skip`, in order: take its rank among the
     # integers outside `skip` and return the integer of that rank outside
-    # `gaps`.  With skip/gaps the image/domain gaps of a map this carries
-    # image points back to their preimages, with domain/image gaps it
-    # carries domain points to their images.  The ranks increase with the
-    # points, so two pointers walk `skip` and `gaps` once: O(len of all three).
+    # `gaps`.  With skip/gaps the domain/image gaps of a map this carries
+    # domain points to their images, as canonical_leq needs.  The ranks
+    # increase with the points, so two pointers walk `skip` and `gaps`
+    # once: O(len of all three).
     out = []
     i = j = 0
     n_skip, n_gaps = len(skip), len(gaps)
@@ -158,15 +158,6 @@ def _pull(points: GapSet, skip: GapSet, gaps: GapSet) -> list[int]:
             j += 1
         out.append(r + j)
     return out
-
-
-def _merge(base: GapSet, extra: list[int]) -> GapSet:
-    # union of two sorted, disjoint runs; the sort merges the runs in one pass
-    if not extra:
-        return base
-    extra.extend(base)
-    extra.sort()
-    return tuple(extra)
 
 
 def _pull_few(points: GapSet, skip: GapSet, gaps: GapSet) -> GapSet:
@@ -371,54 +362,73 @@ def canonical_leq(a: CofMap, b: CofMap) -> bool:
 
     Equivalently ``a == b * (a.inverse() * a)``, i.e. ``a`` arises from ``b``
     by multiplying with an idempotent on the right.  Decided from the gap
-    sets in one pass: dom a must sit inside dom b, and the image of ``a``
-    must miss exactly what ``b`` misses plus the ``b``-images of the points
-    that dom a drops.
+    sets in one pass: the shifts must be equal, and the image of ``a`` must
+    miss exactly what ``b`` misses plus the ``b``-images of the points that
+    dom a drops; with equal shifts, that forces dom a inside dom b.
     """
-    dropped = _pull(a.dom_gaps, b.dom_gaps, b.ran_gaps)
-    # every domain gap of b is one of a's iff all but len(b.dom_gaps) were dropped
-    if len(dropped) != len(a.dom_gaps) - len(b.dom_gaps):
+    if shift(a) != shift(b):
         return False
-    return a.ran_gaps == _merge(b.ran_gaps, dropped)
+    merged = _pull(a.dom_gaps, b.dom_gaps, b.ran_gaps)
+    merged += b.ran_gaps
+    merged.sort()  # two sorted, disjoint runs: merged in one pass
+    return a.ran_gaps == tuple(merged)
 
 
-def _ordered_subsets(points: GapSet, required, cap: int):
-    """Walk the subsets of ``points`` that keep every point of ``required``
-    and leave out at most ``cap`` others, in lexicographic order of their
-    sorted tuples (a shorter tuple first where it is a prefix).
+def _ordered_subsets(points: GapSet, blocks, caps):
+    """The subsets of ``points`` in lexicographic order of their sorted
+    tuples, a tuple before every tuple it is a prefix of.
 
-    The walk is depth first over the tree of tuple prefixes.  It takes the
-    points that every extension must take in one step, so each node it
-    enters is a subset or has two children or more, and it does
-    O(len(points)) work a subset.  It yields ``(True, s, k)`` on reaching a
-    subset ``s`` that leaves out ``k`` points, and ``(False, s, k)`` after
-    the last subset that extends ``s``: where ``s`` is followed by points
-    greater than all of ``points``, that is its place in the order.
+    ``blocks[i]`` is the block of ``points[i]``, or -1 for a point that every
+    subset keeps, and a subset leaves out at most ``caps[j]`` points of block
+    ``j``.  The points of a block must be consecutive, apart from kept
+    points among them.
+
+    The walk is depth first over the tree of tuple prefixes, with one shared
+    prefix and the pending decisions (take the next point, or leave it out)
+    on a stack, so memory stays linear and nothing recurses.  It takes the
+    points that every extension must take in one step, so every node it
+    enters yields a subset or branches, and a subset costs O(len(points)).
     """
     n = len(points)
-    next_required = [n] * (n + 1)  # index of the first required point at or after i
+    # cap[i]: the cap of points[i]'s block, -1 for a kept point; last[i]:
+    # points[i] ends its block, so the count of points left out starts again;
+    # ends[i]: the most points of the current block left out before i that
+    # still lets every point from i on be left out, < 0 when none does
+    cap = [caps[j] if j >= 0 else -1 for j in blocks]
+    last = [False] * n
+    ends = [0] * (n + 1)
+    later = -1  # the block of the next point that is not kept
     for i in range(n - 1, -1, -1):
-        next_required[i] = i if points[i] in required else next_required[i + 1]
-    stack = [(0, (), 0)]  # (index of the next point, prefix, points left out so far)
+        j = blocks[i]
+        if j < 0:
+            ends[i] = -1
+        elif j == later:
+            ends[i] = ends[i + 1] - 1
+        else:
+            later, last[i] = j, True
+            ends[i] = caps[j] - 1 if ends[i + 1] >= 0 else -1
+    prefix = []
+    # (next point, prefix length, points of its block left out, whether the
+    # prefix was a candidate before): the decisions still to walk
+    stack = [(0, 0, 0, False)]
     while stack:
-        i, prefix, out = stack.pop()
-        if i < 0:  # every extension of prefix has been yielded
-            yield False, prefix, out
-            continue
-        # take the points that must come next: all of them once cap points
-        # are left out, else the required ones
-        j = n if out == cap else i
-        while j < n and next_required[j] == j:
-            j += 1
-        if j > i:
-            prefix, i = prefix + points[i:j], j
-        stop = next_required[i]
-        if stop == n and out + n - i <= cap:  # prefix is a subset itself
-            yield True, prefix, out + n - i
-            stack.append((-1, prefix, out + n - i))
-        # the next point taken is points[j]; those skipped before it are left out
-        for j in range(min(stop, n - 1, i + cap - out), i - 1, -1):
-            stack.append((j + 1, prefix + (points[j],), out + j - i))
+        i, m, out, tried = stack.pop()
+        del prefix[m:]
+        while i < n and out >= cap[i]:  # every extension takes points[i]
+            prefix.append(points[i])
+            if last[i]:
+                out = 0
+            i += 1
+            tried = False
+        if not tried and out <= ends[i]:
+            yield tuple(prefix)
+        if i < n:
+            m = len(prefix)
+            taken, left = (0, 0) if last[i] else (out, out + 1)
+            if i + 1 < n:  # leave points[i] out; as the last point, that gives prefix again
+                stack.append((i + 1, m, left, True))
+            prefix.append(points[i])
+            stack.append((i + 1, m + 1, taken, False))  # take it, first
 
 
 def iter_up_set(e: CofMap):
@@ -429,6 +439,6 @@ def iter_up_set(e: CofMap):
     set.
     """
     gaps = require_idempotent(e).dom_gaps
-    walk = _ordered_subsets(gaps, (), len(gaps))
-    return (_trusted(sub, sub) for reached, sub, _ in walk if reached)
+    walk = _ordered_subsets(gaps, [0] * len(gaps), (len(gaps),))
+    return (_trusted(sub, sub) for sub in walk)
 

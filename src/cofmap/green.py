@@ -5,21 +5,27 @@ trivial, and R / L are decided by domains and images alone.  This module
 also solves the one-sided translation equations ``a * x == b`` and
 ``x * a == b`` exactly; both solution sets are always finite.
 
-A solution set is a product of independent blocks, one between each two
-consecutive points where the equation pins ``x`` down; a block with ``o``
-free points and ``g`` free image slots has C(o+g, o) fillings.  Costs, for
-equations with n gaps in all, whatever the values of the gaps:
-``solve_right``/``solve_left`` and the exact ``count`` take O(n) (plus a
-binary search a block) and list nothing; ``x in solutions`` is one
-``compose``; iteration is lazy and does O(n) work a solution.  It builds
-the solutions a chunk of ``CHUNK`` (1,024) at a time in C-level loops,
-with no Python call a solution, so taking the first builds one chunk at
-most.
+The monoid is an inverse semigroup, so when ``a * x == b`` has a solution
+``a' * b`` is its least one in the restriction order (``canonical_leq``),
+and every solution extends it; every solution of ``x * a == b`` extends
+``b * a'``.  A solution's domain gaps are thus a subset of the least
+solution's, and ``core._ordered_subsets``, the walk behind
+``iter_up_set``, lists them in order with a cap a block.  A block lies
+between two consecutive points where the equation pins ``x`` down; with
+``o`` optional points and ``g`` free image slots it has C(o+g, o)
+fillings.  Costs, for equations with n gaps in all, whatever the values of
+the gaps: ``solve_right``/``solve_left`` and the exact ``count`` take one
+``compose`` and two binary searches a block, and list nothing; ``x in
+solutions`` is one ``compose``; iteration is lazy, walks listings of any
+depth with no recursion, and does O(n) work a solution when the blocks are
+few, O(n) a block at most.  It
+builds the solutions a chunk of ``CHUNK`` (1,024) at a time in C-level
+loops, with no Python call a solution, so taking the first builds one
+chunk at most.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import chain, combinations, islice, repeat
 from math import comb
@@ -27,12 +33,11 @@ from operator import add
 
 from .core import (
     CofMap,
-    _merge,
     _ordered_subsets,
-    _pull,
     _set_dom,
     _set_ran,
     _trusted,
+    _unrank,
     compose,
     invert,
     require_idempotent,
@@ -117,15 +122,15 @@ class SolutionSet:
       ``sys.maxsize``;
     - ``x in s`` is one composition;
     - iteration yields the solutions in lexicographic order of their
-      gap-set pairs, O(gaps) work each, built ``CHUNK`` at a time with no
-      Python call a solution and at most one chunk ahead of the consumer;
-      the set may be empty.
+      gap-set pairs, from one walk over the least solution's domain gaps,
+      built ``CHUNK`` at a time with no Python call a solution and at most
+      one chunk ahead of the consumer; the set may be empty.
 
     ``solutions`` is the set itself.  Two sets are equal when they solve
     the same equation, since the equation fixes the members.
     """
 
-    __slots__ = ("side", "factor", "target", "count", "_head", "_blocks")
+    __slots__ = ("side", "factor", "target", "count", "_walk", "_head", "_blocks")
 
     def __init__(self, side: str, factor: CofMap, target: CofMap):
         self.side, self.factor, self.target = side, factor, target
@@ -133,39 +138,37 @@ class SolutionSet:
             found = _right_blocks(factor, target)
         else:  # x * a == b iff a^-1 * x^-1 == b^-1: the inverses of the mirror's solutions
             found = _right_blocks(invert(factor), invert(target))
-        self._head, self._blocks, self.count = None, (), 0
+        self.count, self._walk, self._head, self._blocks = 0, None, (), ()
         if found is None:
             return
-        dom_fixed, ran_fixed, blocks = found
-        if side == "left":  # the mirror's image side is the domain side of x
-            dom_fixed, ran_fixed = ran_fixed, dom_fixed
-        self._head = (dom_fixed[0], ran_fixed[0])
-        self.count = 1
-        # A block's domain side holds the candidate domain gaps, some of them
-        # required, and a solution leaves out k of the others (k <= the free
-        # image slots); the image side then keeps all but k of its free slots.
-        # ends: None if every solution has a domain gap past block i's own
-        # points, else the k of each later block in the one that has none.
-        oriented = []
-        ends = ()
-        for i in range(len(blocks) - 1, -1, -1):
-            run, barred, slots = blocks[i]
-            optional = tuple(p for p in run if p not in barred)
-            self.count *= comb(len(optional) + len(slots), len(slots))
+        least, barred, spans = found
+        unforced, slots = least.dom_gaps, least.ran_gaps
+        # Every solution's domain gaps are among the least solution's: the
+        # unforced points on the right, the slots (the mirror's image side)
+        # on the left.  A solution leaves out k of a block's free domain
+        # points, at most as many as the block has free image points, and
+        # keeps all but k of those as image gaps.
+        dom, ran = (unforced, slots) if side == "right" else (slots, unforced)
+        of = [-1] * len(dom)  # block of each point of dom, -1 if every solution keeps it
+        blocks, fixed, at = [], [], 0
+        count = 1
+        for j, (s, t, lo, hi) in enumerate(spans):
+            optional = [i for i in range(s, t) if unforced[i] not in barred]
             if side == "right":
-                dom, required, ran_free, ran_required = run, barred, slots, ()
+                free, required, start, end = slots[lo:hi], (), lo, hi
+                for i in optional:
+                    of[i] = j
             else:
-                dom, required, ran_free, ran_required = slots, (), optional, tuple(sorted(barred))
-            dom_tail, ran_tail = dom_fixed[i + 1], ran_fixed[i + 1]
-            ends = None if dom_tail else ends
-            oriented.append((dom, required, ran_free, ran_required, dom_tail, ran_tail, ends))
-            # block i can leave out all its points if none is required and it
-            # has a free image slot for each
-            if ends is not None and not required and len(dom) <= len(ran_free):
-                ends = (len(dom),) + ends
-            else:
-                ends = None
-        self._blocks = tuple(reversed(oriented))
+                free, start, end = tuple(unforced[i] for i in optional), s, t
+                required = tuple(p for p in unforced[s:t] if p in barred)
+                of[lo:hi] = [j] * (hi - lo)
+            count *= comb(len(optional) + hi - lo, len(optional))
+            blocks.append((free, required))
+            fixed.append(ran[at:start])  # the image gaps every solution has before block j
+            at = end
+        fixed.append(ran[at:])
+        self.count, self._walk, self._head = count, (dom, of), fixed[0]
+        self._blocks = tuple((free, required, tail) for (free, required), tail in zip(blocks, fixed[1:]))
 
     @property
     def solutions(self) -> "SolutionSet":
@@ -184,16 +187,23 @@ class SolutionSet:
         return product == self.target
 
     def __iter__(self):
-        if self._head is None:
+        if not self.count:
             return iter(())
-        dom_head, ran_head = self._head
-        return chain.from_iterable(map(self._built, self._doms(0, dom_head, ()), repeat(ran_head)))
+        dom, of = self._walk
+        sizes = [0] * (len(self._blocks) + 1)  # points of each block, then the kept points
+        for j in of:
+            sizes[j] += 1
+        walk = _ordered_subsets(dom, of, [len(free) for free, _, _ in self._blocks])
+        return chain.from_iterable(map(self._built, walk, repeat(dict(zip(dom, of))), repeat(sizes)))
 
-    def _built(self, group, ran_head):
-        # the maps of one domain group: its first chunk now, the rest a chunk
-        # at a time as the listing reaches them
-        dom_gaps, ks = group
-        levels, prefix = self._rans(ran_head, ks)
+    def _built(self, dom_gaps, block, sizes):
+        # the maps with domain gaps dom_gaps: their first chunk now, the rest
+        # a chunk at a time as the listing reaches them.  ks[j] counts the
+        # points of block j that they leave out: its size less those taken.
+        ks = list(sizes)
+        for j in map(block.__getitem__, dom_gaps):
+            ks[j] -= 1
+        levels, prefix = self._rans(self._head, ks)
         if not levels:  # one image
             return (_trusted(dom_gaps, prefix),)
         rans = self._kept(levels, 0, prefix)
@@ -201,23 +211,6 @@ class SolutionSet:
         if len(maps) < CHUNK:
             return maps
         return chain(maps, chain.from_iterable(iter(partial(_chunk, dom_gaps, rans), [])))
-
-    def _doms(self, i, prefix, ks):
-        # (domain gaps, the k of every block) of the solutions whose domain
-        # gaps before block i are ``prefix``, in lexicographic order
-        if i == len(self._blocks):
-            yield prefix, ks
-            return
-        dom, required, ran_free, _, dom_tail, _, ends = self._blocks[i]
-        for reached, sub, k in _ordered_subsets(dom, required, len(ran_free)):
-            if reached:
-                if ends is not None:  # nothing after sub: sub is a prefix of the rest
-                    yield prefix + sub, ks + (k,) + ends
-            else:
-                rest = self._doms(i + 1, prefix + sub + dom_tail, ks + (k,))
-                if ends is not None:
-                    next(rest)  # the empty remainder, yielded on reaching sub
-                yield from rest
 
     def _rans(self, prefix, ks):
         # (levels, prefix) for the image gaps of the solutions whose blocks
@@ -228,7 +221,7 @@ class SolutionSet:
         # however many blocks there are; with no level, prefix is the one
         # image.
         levels = []  # [free slots, how many to keep, required gaps, fixed gaps after]
-        for (_, _, free, required, _, tail, _), k in zip(self._blocks, ks):
+        for (free, required, tail), k in zip(self._blocks, ks):
             if 0 < k < len(free):
                 levels.append([free, len(free) - k, required, tail])
                 continue
@@ -267,10 +260,10 @@ class SolutionSet:
 def solve_right(a: CofMap, b: CofMap) -> SolutionSet:
     """Every map ``x`` with ``a * x == b`` (left-to-right composition).
 
-    The equation forces ``x`` on the whole image of ``a`` restricted to
-    dom b, a cofinite set, so only finitely many extensions remain: each
-    point missed by ``a`` may optionally enter dom x with an image chosen
-    from the finite interval between its forced neighbors.
+    There is a solution iff dom b sits inside dom a, and then ``a' * b`` is
+    the least one: every solution extends it, taking some of the points
+    that ``a`` misses into its domain, each with an image chosen from the
+    finite interval between its forced neighbors.
     """
     return SolutionSet("right", a, b)
 
@@ -279,55 +272,49 @@ def solve_left(a: CofMap, b: CofMap) -> SolutionSet:
     """Every map ``x`` with ``x * a == b``.
 
     Mirror image of :func:`solve_right`: the same blocks, built from the
-    inverted equation, with the roles of domain and image swapped.
+    inverted equation, with the roles of domain and image swapped.  The
+    least solution is ``b * a'``.
     """
     return SolutionSet("left", a, b)
 
 
 def _right_blocks(a: CofMap, b: CofMap):
-    """The blocks of ``a * x == b``, or None when it has no solution.
+    """The least solution of ``a * x == b`` and the blocks of the others,
+    or None when it has no solution.
 
-    A point in the image of ``a`` over dom b is forced: x sends it to the
-    target's value.  One in the image of ``a`` outside dom b is barred from
-    dom x.  One that ``a`` misses is optional.  Between two consecutive
-    forced points, the optional points and the image gaps of ``b`` between
-    the forced images (the free slots) make a block: a solution matches
-    k of the optional points with k of the slots, in order.
+    The equation is solvable iff dom b sits inside dom a, and then ``a' *
+    b`` is its least solution in the restriction order: every solution
+    extends it.  The least solution's image gaps are those of ``b``.  Its
+    domain gaps are the image gaps of ``a``, which a solution may take into
+    its domain (optional), and the images under ``a`` of the domain gaps
+    of ``b``, which none may (barred).  The points on either side of a run
+    of consecutive domain gaps are in every solution's domain, with their
+    values in the least solution; a solution sends the optional points of
+    the run that it takes, in order, to image gaps of ``b`` between those
+    two values, the run's slots.
 
-    Returns ``(dom_fixed, ran_fixed, blocks)``.  ``blocks[i]`` is ``(run,
-    barred, slots)``: the barred and optional points between two forced
-    ones, the barred ones, and the slots; only blocks with both an optional
-    point and a slot are listed.  ``dom_fixed[i]`` and ``ran_fixed[i]`` are
-    the domain and image gaps shared by every solution that lie before
-    block i (after the last block for the final entry).
+    Returns ``(least, barred, blocks)``: ``barred`` as a set, and for each
+    run ``least.dom_gaps[s:t]`` with an optional point and a slot, ``(s, t,
+    lo, hi)``, where ``b.ran_gaps[lo:hi]`` are its slots.  This costs one
+    ``compose`` and two binary searches a run.
     """
-    # the image under a of each domain gap of b that a maps
-    barred = _pull(b.dom_gaps, a.dom_gaps, a.ran_gaps)
-    if len(barred) != len(b.dom_gaps) - len(a.dom_gaps):
-        return None  # dom b must sit inside dom a
-    unforced = _merge(a.ran_gaps, list(barred))
-    runs, start = [], 0
-    for i in range(1, len(unforced) + 1):
-        if i == len(unforced) or unforced[i] != unforced[i - 1] + 1:
-            runs.append(unforced[start:i])
-            start = i
-    # x on the forced points on either side of each run: back through a,
-    # then on through b; 0, standing for "no forced point below", stays 0
-    bounds = [p for run in runs for p in (run[0] - 1, run[-1] + 1)]
-    images = _pull(_pull(bounds, a.ran_gaps, a.dom_gaps), b.dom_gaps, b.ran_gaps)
-    barred = set(barred)
-    b_ran = b.ran_gaps
-    dom_fixed, ran_fixed, blocks = [[]], [], []
-    taken = 0  # image gaps of b before this index are placed
-    for r, run in enumerate(runs):
-        lo = bisect_right(b_ran, images[2 * r], taken)
-        hi = bisect_left(b_ran, images[2 * r + 1], lo)
-        if lo < hi and not barred.issuperset(run):
-            ran_fixed.append(b_ran[taken:lo])
-            taken = hi
-            blocks.append((run, barred.intersection(run), b_ran[lo:hi]))
-            dom_fixed.append([])
-        else:  # every point of the run stays out of dom x, every slot out of im x
-            dom_fixed[-1].extend(run)
-    ran_fixed.append(b_ran[taken:])
-    return [tuple(d) for d in dom_fixed], ran_fixed, blocks
+    least = compose(invert(a), b)
+    if len(least.ran_gaps) != len(b.ran_gaps):
+        return None  # b maps a domain gap of a, whose image a' * b misses
+    unforced, b_ran = least.dom_gaps, b.ran_gaps
+    barred = set(unforced).difference(a.ran_gaps)
+    blocks = []
+    start = taken = 0  # the run starts at unforced[start]; b_ran[:taken] lie below it
+    for end in range(1, len(unforced) + 1):
+        if end < len(unforced) and unforced[end] == unforced[end - 1] + 1:
+            continue
+        if not barred.issuperset(unforced[start:end]):
+            # the points on either side have ranks r and r + 1 in dom x, and
+            # the image gaps of b between their images are the slots
+            r = unforced[start] - 1 - start
+            lo = _unrank(b_ran, r, taken) - r
+            taken = _unrank(b_ran, r + 1, lo) - r - 1
+            if lo < taken:
+                blocks.append((start, end, lo, taken))
+        start = end
+    return least, barred, blocks

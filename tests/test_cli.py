@@ -973,6 +973,18 @@ class TestCountAndLimit:
         assert main(["solve", "right", "m[;1]", "m[;1]", "--limit", "5"]) == 0
         assert capsys.readouterr().out == "2 solution(s)\nm[;]\nm[1;1]\n"
 
+    def test_solve_limit_lists_past_a_thousand_blocks(self, capsys):
+        # 1,500 blocks of one point and one slot: the listing walks as deep
+        # as it needs, with no recursion
+        evens = ",".join(map(str, range(2, 3001, 2)))
+        assert main(["solve", "right", f"m[;{evens}]", f"m[;{evens}]", "--limit", "1200"]) == 0
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert out.err == "" and len(lines) == 1201
+        assert lines[0] == f"{2 ** 1500} solution(s)"
+        last = ",".join(map(str, range(2, 2399, 2)))
+        assert lines[-1] == f"m[{last};{last}]"
+
     def test_upset_count_and_limit_past_the_gap_limit(self, capsys):
         seg = _segment_text(30)
         assert main(["upset", f"m[{seg};{seg}]", "--count"]) == 0

@@ -30,6 +30,7 @@ from cofmap import (
     tail_identity,
 )
 from cofmap.cli import to_json
+from cofmap.core import _ordered_subsets
 from cofmap.selftest import two_row, two_row_compose
 
 UP = CofMap((), (1,))   # n -> n + 1
@@ -491,6 +492,34 @@ class TestUpSet:
         assert first == [IDENTITY, CofMap((1,), (1,)), CofMap((1, 2), (1, 2))]
         with pytest.raises(ValueError):
             iter_up_set(UP)  # refused on the call, before any member is asked for
+
+
+@st.composite
+def walk_inputs(draw):
+    # points, a block per point (-1: kept; a block's points consecutive,
+    # apart from kept points among them) and a cap per block
+    points = draw(st.frozensets(st.integers(1, 30), max_size=9).map(lambda s: tuple(sorted(s))))
+    blocks, j = [], -1
+    for _ in points:
+        step = draw(st.sampled_from(["kept", "same", "next"]))
+        if step == "next" or step == "same" and j < 0:
+            j += 1
+        blocks.append(-1 if step == "kept" else j)
+    caps = draw(st.lists(st.integers(0, 4), min_size=j + 1, max_size=j + 1))
+    return points, blocks, caps
+
+
+class TestOrderedSubsets:
+    @given(walk_inputs())
+    def test_matches_brute_force(self, inputs):
+        points, blocks, caps = inputs
+        want = []
+        for k in range(len(points) + 1):
+            for taken in combinations(range(len(points)), k):
+                out = [blocks[i] for i in range(len(points)) if i not in taken]
+                if -1 not in out and all(out.count(j) <= cap for j, cap in enumerate(caps)):
+                    want.append(tuple(points[i] for i in taken))
+        assert list(_ordered_subsets(points, blocks, caps)) == sorted(want)
 
 
 class TestInitialSegment:

@@ -1,6 +1,7 @@
 """Green's relations, structural witnesses, and the translation solver."""
 
 import time
+import tracemalloc
 from itertools import combinations, islice
 from math import comb
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cofmap import (
     CofMap,
     IDENTITY,
+    canonical_leq,
     compose,
     connect_idempotents,
     green_d,
@@ -200,6 +202,18 @@ class TestSolve:
 
     @settings(deadline=None)
     @given(cofmaps, cofmaps)
+    def test_every_solution_extends_the_least(self, a, b):
+        # the monoid is inverse: a' * b solves a * x == b when anything does,
+        # and lies below every solution in the natural order; b * a' likewise
+        # for x * a == b
+        for sols, least in ((solve_right(a, b), compose(invert(a), b)),
+                            (solve_left(a, b), compose(b, invert(a)))):
+            if sols.count:
+                assert least in sols
+                assert all(canonical_leq(least, x) for x in islice(sols, 200))
+
+    @settings(deadline=None)
+    @given(cofmaps, cofmaps)
     def test_count_is_the_number_listed(self, a, b):
         for sols in (solve_right(a, b), solve_left(a, b)):
             assert sols.count == len(sols) == len(list(sols))
@@ -328,3 +342,23 @@ class TestSolutionSet:
         assert len(head) == 2500
         assert all(k < k_next for k, k_next in zip(keys, keys[1:]))  # increasing, so distinct
         assert all(compose(a, x) == b for x in head)
+
+    def test_listing_past_a_thousand_blocks_matches_closed_form(self):
+        # x * m[;E] == m[;E] for E = (2, 4, ..., 3000): 1,500 blocks of one
+        # point and one slot, listed from m[;] through m[E[:i];E[:i]]
+        evens = tuple(range(2, 3001, 2))
+        want = [CofMap(evens[:i], evens[:i]) for i in range(1200)]
+        a = CofMap((), evens)
+        assert list(islice(solve_right(a, a), 1200)) == want
+        assert list(islice(solve_left(invert(a), invert(a)), 1200)) == want
+
+    def test_construction_memory_is_linear_in_blocks(self):
+        a = CofMap((), tuple(range(2, 10001, 2)))  # 5,000 blocks
+        tracemalloc.start()
+        try:
+            sols = solve_right(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sols.count == 2 ** 5000
+        assert peak < 10 * 2 ** 20
