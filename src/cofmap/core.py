@@ -8,13 +8,14 @@ so the pair of gap sets is a complete canonical description and everything
 here is exact integer arithmetic on short sorted tuples.
 
 Costs, for maps with n gaps in all: ``canonical_leq`` takes one pass over
-the sorted gap tuples, O(n); ``evaluate`` and ``preimage`` take a binary
-search, O(log n).  ``compose`` takes one pass too, unless one factor has
-far more gaps than the other: for s and n gaps, s <= n, it then takes
-about s log n Python steps plus O(n) C-level copying.  Costs follow the
-number of gaps, never their values: the initial segments {1..k} that tail
-identities and the standard copy need are capped at ``MAX_SEGMENT``
-points.
+the sorted gap tuples, O(n).  The first ``evaluate`` (``preimage``) on a
+map builds a rank index of its image (domain) side, O(n) in C, and every
+query then takes two C-level bisections, O(log n).  ``compose`` takes one
+pass, unless one factor has far more gaps than the other: for s and n
+gaps, s <= n, it then takes about s log n Python steps plus O(n) C-level
+copying.  Costs follow the number of gaps, never their values: the
+initial segments {1..k} that tail identities and the standard copy need
+are capped at ``MAX_SEGMENT`` points.
 
 Composition is written left to right: ``compose(g, h)`` is ``x -> h(g(x))``
 (apply ``g`` first).  The ``*`` operator on :class:`CofMap` follows the
@@ -24,6 +25,7 @@ same convention.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import sub
 
 GapSet = tuple  # strictly increasing tuple of positive ints
 MAX_SEGMENT = 10**6  # longest initial segment {1..k} built as a gap set
@@ -59,9 +61,15 @@ class CofMap:
     Every pair of gap sets is valid and names exactly one map (the unique
     monotone bijection between the two cofinite sets), so equality of maps
     is equality of the pairs.  Instances are immutable and hashable.
+
+    Two private slots cache a rank index per side, ``gaps[i] - i`` as a
+    list, which the first ``preimage`` (domain side) or ``evaluate`` (image
+    side) that needs it builds.  The index is derived from the gaps and
+    invisible: equality, hashing, pickling and ``repr`` read only the gap
+    tuples, and ``invert`` does not carry it over.
     """
 
-    __slots__ = ("dom_gaps", "ran_gaps")
+    __slots__ = ("dom_gaps", "ran_gaps", "_dom_ranks", "_ran_ranks")
 
     def __setattr__(self, name, *value):  # fields are set once, through their slot descriptors
         raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
@@ -98,14 +106,23 @@ class CofMap:
 
 
 _set_dom, _set_ran = CofMap.dom_gaps.__set__, CofMap.ran_gaps.__set__
+_set_dom_ranks, _set_ran_ranks = CofMap._dom_ranks.__set__, CofMap._ran_ranks.__set__
 IDENTITY = CofMap()
+
+
+def _ranks(gaps: GapSet) -> list[int]:
+    # gaps[i] - i, nondecreasing: the r-th smallest positive integer outside
+    # `gaps` is r + bisect_right(_ranks(gaps), r)
+    return list(map(sub, gaps, range(len(gaps))))
 
 
 def _unrank(gaps: GapSet, r: int, lo: int = 0) -> int:
     # r-th smallest positive integer (1-based) outside `gaps`: r plus the
     # number of gaps below it.  gaps[i] lies below it iff gaps[i] - i <= r,
     # and gaps[i] - i is nondecreasing, so that number is a binary search,
-    # started at `lo` by a caller that knows gaps[:lo] all lie below.
+    # started at `lo` by a caller that knows gaps[:lo] all lie below.  Its
+    # callers, the skewed compose path and the solver, search from a lower
+    # bound on maps they see once, where evaluate's rank index would not pay.
     hi = len(gaps)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -117,25 +134,47 @@ def _unrank(gaps: GapSet, r: int, lo: int = 0) -> int:
 
 
 def evaluate(g: CofMap, n: int) -> int | None:
-    """Image of ``n`` under ``g``, or None when ``n`` is a domain gap."""
+    """Image of ``n`` under ``g``, or None when ``n`` is a domain gap.
+
+    The first call on ``g`` builds its image-side rank index, in C and in
+    time linear in its image gaps; every call then takes two C-level
+    bisections.
+    """
     if n < 1:
         raise ValueError("maps act on positive integers")
     dom = g.dom_gaps
     k = bisect_right(dom, n)
     if k and dom[k - 1] == n:
         return None
-    return _unrank(g.ran_gaps, n - k)
+    r = n - k
+    try:
+        ranks = g._ran_ranks
+    except AttributeError:
+        ranks = _ranks(g.ran_gaps)
+        _set_ran_ranks(g, ranks)
+    return r + bisect_right(ranks, r)
 
 
 def preimage(g: CofMap, v: int) -> int | None:
-    """Unique ``x`` with ``evaluate(g, x) == v``, or None when ``v`` is missed."""
+    """Unique ``x`` with ``evaluate(g, x) == v``, or None when ``v`` is missed.
+
+    The first call on ``g`` builds its domain-side rank index, in C and in
+    time linear in its domain gaps; every call then takes two C-level
+    bisections.
+    """
     if v < 1:
         raise ValueError("maps act on positive integers")
     ran = g.ran_gaps
     k = bisect_right(ran, v)
     if k and ran[k - 1] == v:
         return None
-    return _unrank(g.dom_gaps, v - k)
+    r = v - k
+    try:
+        ranks = g._dom_ranks
+    except AttributeError:
+        ranks = _ranks(g.dom_gaps)
+        _set_dom_ranks(g, ranks)
+    return r + bisect_right(ranks, r)
 
 
 def _pull(points: GapSet, skip: GapSet, gaps: GapSet) -> list[int]:

@@ -219,19 +219,21 @@ class SolutionSet:
         # keep them joins the fixed gaps before it, so that every level of
         # the walk has two choices or more and a solution costs O(gaps),
         # however many blocks there are; with no level, prefix is the one
-        # image.
+        # image.  The fixed gaps gather in a list a level, frozen once, so a
+        # domain group costs O(blocks + gaps) in copying.
         levels = []  # [free slots, how many to keep, required gaps, fixed gaps after]
+        head = fixed = list(prefix)
         for (free, required, tail), k in zip(self._blocks, ks):
             if 0 < k < len(free):
-                levels.append([free, len(free) - k, required, tail])
+                fixed = list(tail)
+                levels.append([free, len(free) - k, required, fixed])
                 continue
             kept = free if k == 0 else ()
-            fixed = (tuple(sorted(kept + required)) if required else kept) + tail
-            if levels:
-                levels[-1][3] += fixed
-            else:
-                prefix += fixed
-        return levels, prefix
+            fixed += sorted(kept + required) if required else kept
+            fixed += tail
+        for level in levels:
+            level[3] = tuple(level[3])
+        return levels, tuple(head)
 
     def _kept(self, levels, i, prefix):
         free, keep, required, tail = levels[i]

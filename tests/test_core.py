@@ -213,14 +213,44 @@ class TestEvaluate:
         assert evaluate(g, n) == oracle.get(n)
 
     def test_wide_map_matches_two_row_oracle(self):
+        # Two draws are moved past 2**64, gaps q -> q + base: below base + 1
+        # such a map is the identity, and from there on it acts as the drawn
+        # map does, moved by base.
         rng = random.Random(7)
-        g = CofMap(sample_gaps(rng, 2000, 8000), sample_gaps(rng, 1500, 8000))
-        n, slack, upto = wide_window(g)
-        forward = oracle_map(g, n, slack)
-        backward = {v: x for x, v in forward.items()}
-        for x in range(1, upto + 1):
-            assert evaluate(g, x) == forward.get(x)
-            assert preimage(g, x) == backward.get(x)
+        for k_dom, k_ran, base in (2000, 1500, 0), (1500, 2000, 2**64), (40, 2500, 2**64 + 12345):
+            dom, ran = sample_gaps(rng, k_dom, 8000), sample_gaps(rng, k_ran, 8000)
+            drawn = CofMap(dom, ran)
+            n, slack, upto = wide_window(drawn)
+            forward = oracle_map(drawn, n, slack)
+            backward = {v: x for x, v in forward.items()}
+            g = CofMap([q + base for q in dom], [q + base for q in ran])
+            moved = lambda y: None if y is None else y + base  # noqa: E731
+            window = list(range(1, upto + 1))
+            # the first pass builds the rank index of each side, the second,
+            # in shuffled order, reads it
+            for x in window + rng.sample(window, len(window)):
+                assert evaluate(g, x + base) == moved(forward.get(x))
+                assert preimage(g, x + base) == moved(backward.get(x))
+            if base:
+                assert [evaluate(g, x) for x in (1, 2, base)] == [1, 2, base]
+                assert [preimage(g, x) for x in (1, 2, base)] == [1, 2, base]
+
+    def test_rank_index_is_invisible(self):
+        g = CofMap((1, 3, 7), (2, 5))
+        assert [evaluate(g, x) for x in range(1, 12)] == [None, 1, None, 3, 4, 6, None, 7, 8, 9, 10]
+        assert [preimage(g, v) for v in range(1, 12)] == [2, None, 4, 5, None, 6, 8, 9, 10, 11, 12]
+        fresh = CofMap(g.dom_gaps, g.ran_gaps)
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(g, protocol))
+            assert back == g
+            assert [evaluate(back, x) for x in range(1, 12)] == [evaluate(g, x) for x in range(1, 12)]
+        assert repr(g) == "CofMap([1, 3, 7], [2, 5])"
+        for name in CofMap.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(g, name, ())
+        assert g == fresh
 
     @given(cofmaps, st.integers(min_value=1, max_value=120))
     def test_preimage_inverts_evaluate(self, g, n):
