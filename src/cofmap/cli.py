@@ -19,8 +19,11 @@ Numbers are written in Unicode decimal digits, which ``int`` reads:
 Parsing takes one regular expression match per term (an element or ``(``)
 and one per run of primes or operator (``*``, ``)``), and splits a map's gap
 lists with ``str`` methods, so its cost follows the number of terms and gaps,
-with no Python step per character, prime or number.  A nested pattern that
-places an error runs only on a term that does not read.
+with no Python step per character, prime or number.  A map written more than
+once in one expression is converted and checked once.  A nested pattern that
+places an error runs only on a term that does not read.  Evaluation multiplies
+a product chain pairwise, reusing a product where a pair repeats the one before
+it, so a run of n equal factors costs O(log n) compositions, not n - 1.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -160,11 +163,14 @@ def parse(text: str):
 
     Each term is one match of ``_TERM`` and each run of primes with the
     operator after it one match of ``_AFTER``; the parentheses open around
-    the current product are kept on a stack, so nothing recurses.
+    the current product are kept on a stack, so nothing recurses.  A map's
+    bracket text is read once a call: every later occurrence of the same
+    text holds the same (immutable) map, in a node with its own span.
     """
     term, after = _TERM.match, _AFTER.match
     outer = []  # the factors of each enclosing product, innermost last
     factors = []  # the factors of the current product
+    maps = {}  # bracket text -> its map, so a repeated literal is read once
     pos = 0
     while True:
         # a term: an element or "("
@@ -174,11 +180,15 @@ def parse(text: str):
         start, pos = tok.span(1)
         head = text[start]
         if head == "m":
-            try:
-                dom, ran = tok[2].split(";")
-                node = Lit(_trusted(_gap_list(dom), _gap_list(ran)), (start, pos))
-            except ValueError:  # not one ";", or a list that is not a gap set
-                _malformed(text, start)
+            inner = tok[2]
+            g = maps.get(inner)
+            if g is None:
+                try:
+                    dom, ran = inner.split(";")
+                    g = maps[inner] = _trusted(_gap_list(dom), _gap_list(ran))
+                except ValueError:  # not one ";", or a list that is not a gap set
+                    _malformed(text, start)
+            node = Lit(g, (start, pos))
         elif head == "b":
             node = Lit(Bicyclic(_number(tok, 3), _number(tok, 4)), (start, pos))
         elif head == "z":
@@ -319,7 +329,11 @@ def eval_expr(node):
     of their total.  A product chain checks its carriers left to right, so
     a mismatch is reported where a left fold meets it, then multiplies
     pairwise, round by round: every carrier is associative, and a left fold
-    of n one-gap maps costs O(n**2) gap steps.  Recursion follows only
+    of n one-gap maps costs O(n**2) gap steps.  A pair that is the same two
+    objects as the pair before it in its round reuses that product, so a
+    run of n equal factors (one literal repeated, which :func:`parse` reads
+    once) costs O(log n) products, and a chain that is such a run, or a
+    block of two repeated, at most 2*ceil(log2 n).  Recursion follows only
     parentheses, which the parser caps.
     """
     if isinstance(node, Lit):
@@ -346,8 +360,12 @@ def eval_expr(node):
                                     (node.span[0], term.span[1]))
         values.append(v)
     while len(values) > 1:
-        paired = [compose(v, w) if type(v) is CofMap and type(w) is CofMap else _mul_values(v, w)
-                  for v, w in zip(values[::2], values[1::2])]
+        paired, last_v, last_w = [], None, None
+        for v, w in zip(values[::2], values[1::2]):
+            if v is not last_v or w is not last_w:
+                last_v, last_w = v, w
+                vw = compose(v, w) if type(v) is CofMap and type(w) is CofMap else _mul_values(v, w)
+            paired.append(vw)
         values = paired + values[-1:] if len(values) % 2 else paired
     return values[0]
 

@@ -9,13 +9,14 @@ here is exact integer arithmetic on short sorted tuples.
 
 Costs, for maps with n gaps in all: ``canonical_leq`` takes one pass over
 the sorted gap tuples, O(n).  The first ``evaluate`` (``preimage``) on a
-map builds a rank index of its image (domain) side, O(n) in C, and every
-query then takes two C-level bisections, O(log n).  ``compose`` takes one
-pass, unless one factor has far more gaps than the other: for s and n
-gaps, s <= n, it then takes about s log n Python steps plus O(n) C-level
-copying.  Costs follow the number of gaps, never their values: the
-initial segments {1..k} that tail identities and the standard copy need
-are capped at ``MAX_SEGMENT`` points.
+map bisects its image (domain) gaps in Python, O(log n) steps; the second
+builds a rank index of that side, O(n) in C, and every later query takes
+two C-level bisections, O(log n).  ``compose`` takes one pass, unless one
+factor has far more gaps than the other: for s and n gaps, s <= n, it then
+takes about s log n Python steps plus O(n) C-level copying.  Costs follow
+the number of gaps, never their values: the initial segments {1..k} that
+tail identities and the standard copy need are capped at ``MAX_SEGMENT``
+points.
 
 Composition is written left to right: ``compose(g, h)`` is ``x -> h(g(x))``
 (apply ``g`` first).  The ``*`` operator on :class:`CofMap` follows the
@@ -62,14 +63,16 @@ class CofMap:
     monotone bijection between the two cofinite sets), so equality of maps
     is equality of the pairs.  Instances are immutable and hashable.
 
-    Two private slots cache a rank index per side, ``gaps[i] - i`` as a
-    list, which the first ``preimage`` (domain side) or ``evaluate`` (image
-    side) that needs it builds.  The index is derived from the gaps and
-    invisible: equality, hashing, pickling and ``repr`` read only the gap
-    tuples, and ``invert`` does not carry it over.
+    One private slot, empty until the map answers a point query, caches a
+    rank index per side, ``gaps[i] - i`` as a list.  The first ``preimage``
+    (domain side) or ``evaluate`` (image side) on a map only marks its
+    side, so a one-off query builds nothing; the second builds that side's
+    index.  The index is derived from the gaps and invisible: equality,
+    hashing, pickling and ``repr`` read only the gap tuples, and ``invert``
+    does not carry it over.
     """
 
-    __slots__ = ("dom_gaps", "ran_gaps", "_dom_ranks", "_ran_ranks")
+    __slots__ = ("dom_gaps", "ran_gaps", "_index")
 
     def __setattr__(self, name, *value):  # fields are set once, through their slot descriptors
         raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
@@ -106,23 +109,18 @@ class CofMap:
 
 
 _set_dom, _set_ran = CofMap.dom_gaps.__set__, CofMap.ran_gaps.__set__
-_set_dom_ranks, _set_ran_ranks = CofMap._dom_ranks.__set__, CofMap._ran_ranks.__set__
+_set_index = CofMap._index.__set__
 IDENTITY = CofMap()
-
-
-def _ranks(gaps: GapSet) -> list[int]:
-    # gaps[i] - i, nondecreasing: the r-th smallest positive integer outside
-    # `gaps` is r + bisect_right(_ranks(gaps), r)
-    return list(map(sub, gaps, range(len(gaps))))
 
 
 def _unrank(gaps: GapSet, r: int, lo: int = 0) -> int:
     # r-th smallest positive integer (1-based) outside `gaps`: r plus the
     # number of gaps below it.  gaps[i] lies below it iff gaps[i] - i <= r,
     # and gaps[i] - i is nondecreasing, so that number is a binary search,
-    # started at `lo` by a caller that knows gaps[:lo] all lie below.  Its
-    # callers, the skewed compose path and the solver, search from a lower
-    # bound on maps they see once, where evaluate's rank index would not pay.
+    # started at `lo` by a caller that knows gaps[:lo] all lie below.  It
+    # answers the first point query on a side, and the skewed compose path
+    # and the solver search with it from a lower bound on maps they see
+    # once: where a rank index would not pay.
     hi = len(gaps)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -133,12 +131,26 @@ def _unrank(gaps: GapSet, r: int, lo: int = 0) -> int:
     return r + lo
 
 
+def _unindexed(index: list, side: int, gaps: GapSet, r: int) -> int:
+    # The r-th integer outside `gaps`, a map's domain (side 0) or image
+    # (side 1) gaps, whose `index` holds no rank index for that side yet:
+    # the first query bisects in Python and marks the side, the second
+    # builds the side's index, gaps[i] - i in C.  That list is
+    # nondecreasing, and the answer is r plus the number of its entries
+    # <= r.
+    if index[side] is None:
+        index[side] = True
+        return _unrank(gaps, r)
+    index[side] = ranks = list(map(sub, gaps, range(len(gaps))))
+    return r + bisect_right(ranks, r)
+
+
 def evaluate(g: CofMap, n: int) -> int | None:
     """Image of ``n`` under ``g``, or None when ``n`` is a domain gap.
 
-    The first call on ``g`` builds its image-side rank index, in C and in
-    time linear in its image gaps; every call then takes two C-level
-    bisections.
+    The first call on ``g`` bisects its image gaps in Python, O(log n)
+    steps; the second builds their rank index, in C and in time linear in
+    the image gaps; every call then takes two C-level bisections.
     """
     if n < 1:
         raise ValueError("maps act on positive integers")
@@ -148,19 +160,22 @@ def evaluate(g: CofMap, n: int) -> int | None:
         return None
     r = n - k
     try:
-        ranks = g._ran_ranks
-    except AttributeError:
-        ranks = _ranks(g.ran_gaps)
-        _set_ran_ranks(g, ranks)
+        index = g._index
+    except AttributeError:  # the first query on g
+        index = [None, None]
+        _set_index(g, index)
+    ranks = index[1]
+    if ranks.__class__ is not list:
+        return _unindexed(index, 1, g.ran_gaps, r)
     return r + bisect_right(ranks, r)
 
 
 def preimage(g: CofMap, v: int) -> int | None:
     """Unique ``x`` with ``evaluate(g, x) == v``, or None when ``v`` is missed.
 
-    The first call on ``g`` builds its domain-side rank index, in C and in
-    time linear in its domain gaps; every call then takes two C-level
-    bisections.
+    The first call on ``g`` bisects its domain gaps in Python, O(log n)
+    steps; the second builds their rank index, in C and in time linear in
+    the domain gaps; every call then takes two C-level bisections.
     """
     if v < 1:
         raise ValueError("maps act on positive integers")
@@ -170,10 +185,13 @@ def preimage(g: CofMap, v: int) -> int | None:
         return None
     r = v - k
     try:
-        ranks = g._dom_ranks
-    except AttributeError:
-        ranks = _ranks(g.dom_gaps)
-        _set_dom_ranks(g, ranks)
+        index = g._index
+    except AttributeError:  # the first query on g
+        index = [None, None]
+        _set_index(g, index)
+    ranks = index[0]
+    if ranks.__class__ is not list:
+        return _unindexed(index, 0, g.dom_gaps, r)
     return r + bisect_right(ranks, r)
 
 

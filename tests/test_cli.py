@@ -912,6 +912,62 @@ class TestChains:
             assert eval_expr(parse(text)) == want
 
 
+# a term of a chain with its value: a map, a bicyclic element or "id",
+# maybe in parentheses, then 0 to 3 primes
+@st.composite
+def valued_terms(draw):
+    v, text = draw(st.one_of(invertible_values.map(lambda v: (v, render(v))),
+                             st.just((IDENTITY, "id"))))
+    if draw(st.booleans()):
+        text = f"({text})"
+    primes = draw(st.integers(0, 3))
+    return text + "'" * primes, v.inverse() if primes % 2 else v
+
+
+class TestRepeatedFactors:
+    @given(st.lists(valued_terms(), min_size=3, max_size=3),
+           st.lists(st.integers(0, 2), min_size=1, max_size=60))
+    def test_chain_from_three_terms_is_the_left_fold(self, pool, picks):
+        text = "*".join(pool[i][0] for i in picks)
+        want = functools.reduce(reference_mul, [pool[i][1] for i in picks])
+        assert eval_expr(parse(text)) == want
+
+    def test_a_run_of_equal_factors_takes_log_many_products(self, monkeypatch):
+        calls = []
+
+        def counted(g, h):
+            calls.append(1)
+            return compose(g, h)
+
+        monkeypatch.setattr(cofmap.cli, "compose", counted)
+        for n in [*range(1, 301), 4096]:
+            calls.clear()
+            got = eval_expr(parse("*".join(["m[;1]"] * n)))
+            assert got == CofMap((), tuple(range(1, n + 1)))
+            assert len(calls) <= 2 * (n - 1).bit_length()  # 2 * ceil(log2 n)
+
+    def test_a_repeated_literal_is_one_map_with_a_span_per_occurrence(self):
+        node = parse("m[;1] * m[2;1]*m[;1]")
+        first, _, third = node.factors
+        assert first.value is third.value
+        assert (first.span, third.span) == ((0, 5), (15, 20))
+
+    def test_malformed_term_after_a_long_run_reports_its_span(self):
+        text = "m[;1]*" * 1000 + "m[3,2;]"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == "gap entries must be strictly increasing, got (3, 2) (at 6002..6005)"
+        with pytest.raises(ParseError) as err:
+            parse("m[;1]*" * 1000 + "m[;1")
+        assert str(err.value) == "expected ']' (at 6004..6005)"
+
+    def test_carrier_mismatch_after_a_long_run_reports_its_span(self):
+        text = "m[;1]*" * 1000 + "m[;1]*z[1]*O"
+        with pytest.raises(ExprTypeError) as err:
+            eval_expr(parse(text))
+        assert str(err.value) == f"integers and the zero belong to different carriers (at 0..{len(text)})"
+
+
 def _segment_text(k):
     return ",".join(map(str, range(1, k + 1)))
 

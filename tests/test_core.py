@@ -252,6 +252,33 @@ class TestEvaluate:
                 setattr(g, name, ())
         assert g == fresh
 
+    def test_first_second_and_third_queries_on_a_side(self):
+        # The first query on a side bisects its gaps in Python, the second
+        # builds the side's rank index and the third reads it; each side
+        # counts its own queries, so the sides are also queried interleaved.
+        rng = random.Random(21)
+        drawn = [CofMap(sample_gaps(rng, 2, 30), sample_gaps(rng, 3, 30)),
+                 CofMap(sample_gaps(rng, 300, 2000), sample_gaps(rng, 250, 2000)),
+                 CofMap(sample_gaps(rng, 40, 3000), sample_gaps(rng, 2500, 3000))]
+        for g in drawn:
+            n, slack, upto = wide_window(g)
+            forward = oracle_map(g, n, slack)
+            backward = {v: x for x, v in forward.items()}
+            xs = [x for x in range(1, upto + 1) if x in forward]
+            vs = [v for v in range(1, upto + 1) if v in backward]
+            for times in 1, 2, 3:
+                for interleaved in False, True:
+                    h = CofMap(g.dom_gaps, g.ran_gaps)
+                    queries = [(evaluate, x, forward[x]) for x in rng.sample(xs, times)]
+                    pulls = [(preimage, v, backward[v]) for v in rng.sample(vs, times)]
+                    if interleaved:
+                        queries = [q for pair in zip(queries, pulls) for q in pair]
+                    else:
+                        queries += pulls
+                    for query, point, want in queries:
+                        assert query(h, point) == want
+                    assert h == g and hash(h) == hash(g)
+
     @given(cofmaps, st.integers(min_value=1, max_value=120))
     def test_preimage_inverts_evaluate(self, g, n):
         y = evaluate(g, n)
