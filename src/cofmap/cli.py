@@ -37,8 +37,7 @@ members in order).  Their answers can be exponentially long (``upset``
 lists 2**n idempotents for an idempotent with n gaps), so without either
 option they refuse to list more than 2**``LISTING_LIMIT_LOG2`` (2**16)
 members, and an ``N`` above that is a usage error.  ``--rows`` is at most
-``MAX_ROWS``, and the number of cases of ``stability`` and ``selftest``
-at most ``MAX_CASES``.
+``MAX_ROWS``, and ``selftest --cases`` at most ``MAX_CASES``.
 
 Reading argv: :func:`_read` reads every argv by the grammar that
 :func:`build_parser` builds from the command's row of :data:`COMMANDS`.
@@ -104,7 +103,7 @@ from .green import (
 MAX_NESTING = 100
 LISTING_LIMIT_LOG2 = 16  # 2**16 members at most in a listing, which is built before printing
 MAX_ROWS = 1000  # columns of a --rows preview
-MAX_CASES = 10_000  # sample cases of stability and selftest
+MAX_CASES = 10_000  # sample cases of selftest
 
 
 class ParseError(ValueError):
@@ -491,19 +490,8 @@ def _nbhd_adj(point, anchor, elem):
     return in_adj_nbhd(point, anchor, _promote(elem))
 
 
-# selftest is imported here, not at start-up: only these two commands need it
-
-def _stability(depth, a, cases, seed):
-    import random
-
-    from .selftest import sample_zero_stability
-
-    return SimpleNamespace(bound=zero_stability_bound(depth, a),
-                           failed=sample_zero_stability(depth, a, random.Random(seed), cases))
-
-
 def _selftest(seed, cases):
-    from .selftest import run_selftest
+    from .selftest import run_selftest  # not at start-up: only this command needs it
 
     results = run_selftest(seed=seed, cases=cases)
     return SimpleNamespace(results=results, failed=sum(1 for _, k in results if k))
@@ -579,12 +567,6 @@ def _congruence(result, args):
     return {"congruent": ok, **shown} if args.json else [str(ok).lower(), *shown]
 
 
-def _stability_report(r, args):
-    if args.json:
-        return {"bound": r.bound, "cases": args.cases, "violations": r.failed}
-    return [f"bound = {r.bound}", f"sampled {args.cases} cases, {r.failed} violation(s)"]
-
-
 def _selftest_report(report, args):
     passed = len(report.results) - report.failed
     if args.json:
@@ -596,7 +578,7 @@ def _selftest_report(report, args):
 
 
 # name -> (help, arguments, function, output shape).  An argument is (name,
-# kind) or (name, kind, default); "--name" is an option.  int and COUNT are
+# kind), or an option ("--name", kind, default).  int and COUNT are
 # read with argv, ELEM and MAP text in main's try, where a ParseError is a
 # parse error, not a usage error.  CHOICE picks the function from the row's
 # dict; the other arguments reach it in order.
@@ -629,9 +611,8 @@ COMMANDS = {
                   _nbhd_zero, _scalar),
     "nbhd-adj": ("membership in a basic integer neighborhood",
                  [("point", int), ("anchor", MAP), ("expr", ELEM)], _nbhd_adj, _scalar),
-    "stability": ("translation-stability bound for zero neighborhoods",
-                  [("depth", int), EXPR, ("cases", COUNT, 500), ("seed", int, 0)],
-                  _stability, _stability_report),
+    "stability": ("translation-stability bound for zero neighborhoods", [("depth", int), EXPR],
+                  zero_stability_bound, _scalar),
     "selftest": ("run the randomized property suite", [("--seed", int, 1), ("--cases", COUNT, 300)],
                  _selftest, _selftest_report),
 }
@@ -655,10 +636,10 @@ _NEGATIVE = re.compile(r"-\d+$")
 def build_parser(name: str):
     """A command's grammar from its row of :data:`COMMANDS`, built on the first call
     (the traced benchmark run wraps this name): positionals as ``(label, dest, type,
-    choices)``, how many are required, options by flag alike, every dest's default,
-    the usage line and the help lines."""
+    choices)``, options by flag alike, every dest's default, the usage line and the
+    help lines."""
     _, arguments, fn, shape = COMMANDS[name]
-    positionals, required, options, defaults = [], 0, {}, {"command": name}
+    positionals, options, defaults = [], {}, {"command": name}
     usage, lines = [f"usage: cofmap {name} [-h]"], [("-h, --help", "show this help and exit")]
     for dest, kind, *default in arguments + (LISTING_OPTIONS if type(shape) is _Listing else OPTIONS):
         key, choices = dest.lstrip("-"), tuple(fn) if kind is CHOICE else None
@@ -671,17 +652,16 @@ def build_parser(name: str):
             options[dest] = (dest, key, type_, choices)
         else:
             positionals.append((dest, key, type_, choices))
-            required += not default
         label = f"{dest} {metavar}" if dest in options and kind is not None else dest
         usage.append(f"[{label}]" if default else label)
         lines.append((label, text))
-    return positionals, required, options, defaults, " ".join(usage), lines
+    return positionals, options, defaults, " ".join(usage), lines
 
 
 def _stop(name, error=None) -> SystemExit:
     """Print a command's help (cofmap's if name is None), giving ``SystemExit(0)``;
     or with an error its usage line and the error on stderr, giving ``SystemExit(2)``."""
-    usage, lines = build_parser(name)[4:] if name else (
+    usage, lines = build_parser(name)[3:] if name else (
         "usage: cofmap [-h] COMMAND ...", [(command, row[0]) for command, row in COMMANDS.items()])
     if error:
         print(f"{usage}\ncofmap{' ' + name if name else ''}: error: {error}", file=sys.stderr)
@@ -702,7 +682,7 @@ def _read(argv):
     if name is None:
         raise _stop(None, f"argument command: invalid choice {argv[0]!r} (choose from "
                           f"{', '.join(COMMANDS)})" if argv else "a command is required")
-    positionals, required, options, defaults, *_ = build_parser(name)
+    positionals, options, defaults, *_ = build_parser(name)
     values, texts, given = dict(defaults), [], []
     tokens = islice(head, 1, None)
     for token in tokens:
@@ -723,9 +703,9 @@ def _read(argv):
         else:
             raise _stop(name, f"argument {flag}: expected a value")
     texts += argv[len(head) + 1:]
-    if len(texts) < required:
+    if len(texts) < len(positionals):
         raise _stop(name, "the following arguments are required: "
-                    + ", ".join(dest for dest, *_ in positionals[len(texts):required]))
+                    + ", ".join(dest for dest, *_ in positionals[len(texts):]))
     if len(texts) > len(positionals):
         raise _stop(name, f"unrecognized argument {texts[len(positionals)]!r}")
     if texts.count("-") > 1:
@@ -780,7 +760,7 @@ def main(argv=None) -> int:
         # module show for SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    # only stability and selftest report failures; they exit 1 after printing them
+    # only selftest reports failures; it exits 1 after printing them
     return 1 if getattr(result, "failed", 0) else 0
 
 

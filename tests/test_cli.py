@@ -401,10 +401,11 @@ class TestSubcommands:
         assert capsys.readouterr().out == "false\n"
 
     def test_stability(self, capsys):
+        # the bound alone: the sampled check is a law of cofmap selftest
         assert main(["stability", "3", "m[;1]"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "bound = 4"
-        assert out[1].endswith("0 violation(s)")
+        assert capsys.readouterr().out == "4\n"
+        assert main(["stability", "3", "m[;1]", "--json"]) == 0
+        assert capsys.readouterr().out == "4\n"
 
     def test_rows_preview(self, capsys):
         assert main(["eval", "m[2;1,3]'", "--rows", "3"]) == 0
@@ -459,11 +460,12 @@ class TestIO:
         assert (r.returncode, r.stdout) == (0, b"m[1,4;2,5]\n")
 
     def test_startup_imports_neither_dataclasses_nor_selftest(self):
-        # only the selftest and stability commands import cofmap.selftest
-        code = "import sys, cofmap.cli; print(sorted({'dataclasses', 'cofmap.selftest'} & set(sys.modules)))"
+        # only the selftest command imports cofmap.selftest: stability prints a bound
+        code = ("import sys, cofmap.cli; print(sorted({'dataclasses', 'cofmap.selftest'} & set(sys.modules)));"
+                " code = cofmap.cli.main(['stability', '3', 'm[;1]']); print(code, 'cofmap.selftest' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cofmap.__file__)))
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert (r.returncode, r.stdout) == (0, "[]\n")
+        assert (r.returncode, r.stdout) == (0, "[]\n4\n0 False\n")
 
     def test_no_argv_loads_argparse_or_gettext(self):
         # json is loaded only to print --json output
@@ -579,10 +581,7 @@ GOLDEN = [
      "false\n"),
     (["nbhd-zero", "2", "b[2,2]"], "true\n", "true\n", "true\n"),
     (["nbhd-adj", "1", "m[;1]", "z[1]"], "true\n", "true\n", "true\n"),
-    (["stability", "3", "m[;1]", "40", "2"],
-     "bound = 4\nsampled 40 cases, 0 violation(s)\n",
-     '{"bound":4,"cases":40,"violations":0}\n',
-     "bound = 4\nsampled 40 cases, 0 violation(s)\n"),
+    (["stability", "3", "m[;1]"], "4\n", "4\n", "4\n"),
 ]
 
 SELFTEST_CHECKS = [
@@ -657,11 +656,10 @@ def _argparse_vars(argv):
     reads from ``argv``: the namespace's dict, or None where it refuses ``argv``."""
     import argparse
 
-    positionals, required, options, defaults, *_ = build_parser(argv[0])
+    positionals, options, defaults, *_ = build_parser(argv[0])
     parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    for i, (_, dest, type_, choices) in enumerate(positionals):
-        optional = {} if i < required else {"nargs": "?", "default": defaults[dest]}
-        parser.add_argument(dest, type=type_, choices=choices, **optional)
+    for _, dest, type_, choices in positionals:
+        parser.add_argument(dest, type=type_, choices=choices)
     for flag, dest, type_, _ in options.values():
         if type_ is None:
             parser.add_argument(flag, action="store_true")
@@ -707,10 +705,10 @@ class TestArgv:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "parse error: expected an element, '(' or 'id' (at 0..1)\n")
 
-    def test_optional_positional_after_an_option(self, capsys):
+    def test_positional_after_an_option(self, capsys):
         # the positionals need not come before the options
-        assert main(["stability", "3", "m[;1]", "--json", "40"]) == 0
-        assert capsys.readouterr().out == '{"bound":4,"cases":40,"violations":0}\n'
+        assert main(["apply", "m[;1]", "--json", "5"]) == 0
+        assert capsys.readouterr().out == "6\n"
 
     def test_one_dash_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("m[;1]"))
@@ -745,6 +743,7 @@ USAGE_ERRORS = [
     (["eval"], "cofmap eval: error: the following arguments are required: expr"),
     (["eval", "x", "y"], "cofmap eval: error: unrecognized argument 'y'"),
     (["eval", "id", "-4"], "cofmap eval: error: unrecognized argument '-4'"),
+    (["stability", "3", "m[;1]", "40"], "cofmap stability: error: unrecognized argument '40'"),
     (["eval", "id", "-"], "cofmap eval: error: unrecognized argument '-'"),
     (["leq", "sideways", "id", "id"],
      "cofmap leq: error: argument order: invalid choice 'sideways' (choose from nat, canon)"),
@@ -1060,11 +1059,11 @@ class TestCountAndLimit:
         ["eval", "m[;]", "--rows", "1001"],
         ["eval", "m[;]", "--count"],
         ["selftest", "--cases", "-3"],
-        ["stability", "3", "m[;1]", "--", "-5"],
+        ["selftest", "--cases=-5"],
         ["upset", "m[1;1]", "--limit", "65537"],
         ["solve", "right", f"m[;{_segment_text(40)}]", f"m[;{_segment_text(40)}]",
          "--limit", "100000000000"],
-        ["stability", "3", "b[2,1]", "1000001"],
+        ["selftest", "--cases", "1000001"],
         ["selftest", "--cases", "10001"],
     ])
     def test_out_of_range_options_are_usage_errors(self, capsys, argv):
@@ -1105,7 +1104,7 @@ EXPRESSIONS = [
     "m[3,2;]", "m[;1", "(", "q", "", "z[1]'", f"z[{BIG}]",
 ]
 NUMBERS = ["0", "1", "3", "-4", "x", "", "100000000", NINES]
-CASES = ["0", "1", "3", "-4", "x", "10001"]  # stability and selftest, at most MAX_CASES
+CASES = ["0", "1", "3", "-4", "x", "10001"]  # selftest --cases, at most MAX_CASES
 FLAGS = [
     ["--json"], ["--rows", "3"], ["--rows", "1001"], ["--count"], ["--limit", "3"],
     ["--limit", "65537"], ["--limit", "100000000000"], ["--limit", "-1"],
@@ -1116,17 +1115,15 @@ FLAGS = [
 
 @st.composite
 def cli_argv(draw):
-    """A command with the arguments its row takes, some defaulted ones left
-    out, and options and stray tokens put anywhere."""
+    """A command with the arguments its row takes, some defaulted options
+    left out, and options and stray tokens put anywhere."""
     name = draw(st.sampled_from(list(COMMANDS)))
     _, arguments, fn, _ = COMMANDS[name]
     argv = [name]
     for dest, kind, *default in arguments:
         # a number of cases is always given: its default takes seconds
         if default and kind is not COUNT and draw(st.booleans()):
-            if dest.startswith("-"):
-                continue
-            break  # a positional left out leaves out those after it
+            continue
         if kind is CHOICE:
             text = draw(st.sampled_from([*fn, "Q"]))
         elif kind is COUNT:

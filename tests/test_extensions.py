@@ -20,7 +20,6 @@ from cofmap import (
     zero_stability_bound,
 )
 from cofmap.cli import to_json
-from cofmap.selftest import sample_zero_stability
 
 UP = CofMap((), (1,))
 DOWN = CofMap((1,), ())
@@ -135,8 +134,13 @@ class TestStability:
             assert in_zero_nbhd(i, compose(a, g))
 
     def test_sampling_reports_no_violations(self):
-        rng = random.Random(99)
-        assert sample_zero_stability(2, CofMap((1, 5), (2,)), rng, cases=400) == 0
+        # every draw misses at least j points a side, so each meets the premise
+        rng, i, a = random.Random(99), 2, CofMap((1, 5), (2,))
+        j = zero_stability_bound(i, a)
+        for _ in range(400):
+            g = CofMap(*(tuple(sorted(rng.sample(range(1, 31), rng.randint(j, 10)))) for _ in "dr"))
+            assert in_zero_nbhd(j, g)
+            assert in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))
 
 
 class TestTaggedJson:
