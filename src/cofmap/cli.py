@@ -106,20 +106,20 @@ MAX_ROWS = 1000  # columns of a --rows preview
 MAX_CASES = 10_000  # sample cases of selftest
 
 
-class ParseError(ValueError):
+class SpannedError(ValueError):
+    """An error at a span of the expression text, which its message ends with."""
+
+    def __init__(self, message: str, span: tuple[int, int]):
+        super().__init__(f"{message} (at {span[0]}..{span[1]})")
+        self.span = span
+
+
+class ParseError(SpannedError):
     """Syntax error in the expression language, with the offending span."""
 
-    def __init__(self, message: str, span: tuple[int, int]):
-        super().__init__(f"{message} (at {span[0]}..{span[1]})")
-        self.span = span
 
-
-class ExprTypeError(ValueError):
+class ExprTypeError(SpannedError):
     """Carrier mismatch discovered while evaluating, with the span."""
-
-    def __init__(self, message: str, span: tuple[int, int]):
-        super().__init__(f"{message} (at {span[0]}..{span[1]})")
-        self.span = span
 
 
 class Lit:

@@ -1,12 +1,15 @@
 """The law registry: every property of the monoid that the project checks,
 stated once, with the seeded generators and independent oracles it needs.
 
-Each entry of :data:`CHECKS` is a named law ``fn(rng, cases)`` that
-returns its failure count; its draw counts scale with ``cases``.  Check
-``name`` draws from :func:`rng_for` ``(seed, name)``, so a run is
-reproducible given (seed, cases).  ``cofmap selftest`` runs the registry
-at 300 cases, and ``tests/test_acceptance.py`` runs it at 10,000, where
-``cofmap selftest --seed 1 --cases 10000`` replays any failure.
+Each law is a generator ``law(rng, cases)`` that yields, for every
+condition it tests, whether that condition held; its draw counts scale
+with ``cases``.  :func:`check` files it in :data:`CHECKS` as ``(name,
+fn)``, where ``fn(rng, cases)`` returns how many conditions failed, so
+the laws keep no tally of their own.  Check ``name`` draws from
+:func:`rng_for` ``(seed, name)``, so a run is reproducible given (seed,
+cases).  ``cofmap selftest`` runs the registry at 300 cases, and
+``tests/test_acceptance.py`` runs it at 10,000, where ``cofmap selftest
+--seed 1 --cases 10000`` replays any failure.
 
 Generators: gap sets inside [1, 30] with at most 10 entries per side
 unless a check says otherwise.  The oracles build maps the naive way: pair
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice, pairwise
 
 from .bicyclic import (
     Bicyclic,
@@ -143,9 +146,12 @@ CHECKS = []
 
 
 def check(name):
-    def register(fn):
-        CHECKS.append((name, fn))
-        return fn
+    """Register the generator ``law(rng, cases)`` as check ``name``: its
+    entry in :data:`CHECKS` runs the law to the end and returns how many of
+    the outcomes it yielded are false."""
+    def register(law):
+        CHECKS.append((name, lambda rng, cases: sum(not held for held in law(rng, cases))))
+        return law
     return register
 
 
@@ -157,78 +163,59 @@ def rng_for(seed: int, name: str) -> random.Random:
 
 @check("compose agrees with pointwise composition")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         g, h = random_cofmap(rng), random_cofmap(rng)
         got = compose(g, h)
         oracle = two_row_compose(two_row(g.dom_gaps, g.ran_gaps, n=260),
                                  two_row(h.dom_gaps, h.ran_gaps, n=260))
         rows = two_row(got.dom_gaps, got.ran_gaps, n=200)
-        if any(oracle.get(x) != rows.get(x) for x in range(1, 201)):
-            bad += 1
-        if any(evaluate(got, x) != oracle.get(x) for x in (rng.randint(1, 200) for _ in range(4))):
-            bad += 1
-        for x in range(1, 121):
-            y = evaluate(g, x)
-            if evaluate(got, x) != (None if y is None else evaluate(h, y)):
-                bad += 1
-                break
-    return bad
+        yield all(oracle.get(x) == rows.get(x) for x in range(1, 201))
+        yield all(evaluate(got, x) == oracle.get(x) for x in (rng.randint(1, 200) for _ in range(4)))
+        yield all(evaluate(got, x) == (None if (y := evaluate(g, x)) is None else evaluate(h, y))
+                  for x in range(1, 121))
 
 
 @check("composition is associative")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         a, b, c = (random_cofmap(rng) for _ in range(3))
-        if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            bad += 1
-    return bad
+        yield compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 @check("inverse axioms and commuting idempotents")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         g, h = random_cofmap(rng), random_cofmap(rng)
         gi = invert(g)
-        if compose(compose(g, gi), g) != g or compose(compose(gi, g), gi) != gi:
-            bad += 1
-        if invert(compose(g, h)) != compose(invert(h), gi):
-            bad += 1
+        yield compose(compose(g, gi), g) == g and compose(compose(gi, g), gi) == gi
+        yield invert(compose(g, h)) == compose(invert(h), gi)
         e, f = random_idempotent(rng), random_idempotent(rng)
         ef = compose(e, f)
-        if ef != compose(f, e) or not is_idempotent(ef):
-            bad += 1
-        if set(ef.dom_gaps) != set(e.dom_gaps) | set(f.dom_gaps):
-            bad += 1
-    return bad
+        yield ef == compose(f, e) and is_idempotent(ef)
+        yield set(ef.dom_gaps) == set(e.dom_gaps) | set(f.dom_gaps)
 
 
 @check("shift is additive and the tail law holds")
 def _(rng, cases):
     # the standard bicyclic copy realises every shift
-    bad = sum(shift(embed(Bicyclic(max(-n, 0), max(n, 0)))) != n for n in range(-10, 11))
+    for n in range(-10, 11):
+        yield shift(embed(Bicyclic(max(-n, 0), max(n, 0)))) == n
     for _ in range(cases):
         g, h = random_cofmap(rng), random_cofmap(rng)
-        if shift(compose(g, h)) != shift(g) + shift(h):
-            bad += 1
+        yield shift(compose(g, h)) == shift(g) + shift(h)
         t, f = shift_threshold(g), shift(g)
         for i in (t, t + 1, t + 17):
-            if evaluate(g, i) != i + f:
-                bad += 1
+            yield evaluate(g, i) == i + f
         max_d = g.dom_gaps[-1] if g.dom_gaps else 0
         max_r = g.ran_gaps[-1] if g.ran_gaps else 0
         if t > 1:
+            # the threshold is minimal: t - 1 is not past the gaps of both sides
             y = evaluate(g, t - 1)
-            if t - 1 > max_d and y is not None and y > max_r:
-                bad += 1  # threshold was not minimal
-    return bad
+            yield t - 1 <= max_d or y is None or y <= max_r
 
 
 @check("Green relations match their idempotent forms; H is equality")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         a = random_cofmap(rng)
         roll = rng.random()
@@ -239,97 +226,67 @@ def _(rng, cases):
         else:
             b = random_cofmap(rng)
         r, l = green_r(a, b), green_l(a, b)
-        if r != (compose(a, invert(a)) == compose(b, invert(b))):
-            bad += 1
-        if l != (compose(invert(a), a) == compose(invert(b), b)):
-            bad += 1
-        if (r and l) != (a == b) or green_h(a, b) != (a == b) or not green_d(a, b):
-            bad += 1
-    return bad
+        yield r == (compose(a, invert(a)) == compose(b, invert(b)))
+        yield l == (compose(invert(a), a) == compose(invert(b), b))
+        yield (r and l) == (a == b) and green_h(a, b) == (a == b) and green_d(a, b)
 
 
 @check("simplicity witness satisfies g*a*d == b")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         a, b = random_cofmap(rng), random_cofmap(rng)
         g, d = simplicity_witness(a, b)
-        if compose(compose(g, a), d) != b:
-            bad += 1
-    return bad
+        yield compose(compose(g, a), d) == b
 
 
 @check("connecting map links any two idempotents")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         e, i = random_idempotent(rng), random_idempotent(rng)
         a = connect_idempotents(e, i)
-        if compose(a, invert(a)) != e or compose(invert(a), a) != i:
-            bad += 1
+        yield compose(a, invert(a)) == e and compose(invert(a), a) == i
     # uniqueness: every map with gaps in [1,6], with the two idempotents it links
     links = [(compose(x, invert(x)), compose(invert(x), x), x) for x in all_cofmaps(6)]
     for _ in range(max(1, cases // 100)):
         e = random_idempotent(rng, max_gap=6, max_size=3)
         i = random_idempotent(rng, max_gap=6, max_size=3)
-        if [x for left, right, x in links if left == e and right == i] != [connect_idempotents(e, i)]:
-            bad += 1
-    return bad
+        yield [x for left, right, x in links if left == e and right == i] == [connect_idempotents(e, i)]
 
 
 @check("natural order reverses gap inclusion; gap map is a hom")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         e, f = random_idempotent(rng), random_idempotent(rng)
         leq = natural_leq(e, f)
-        if leq != (set(e.dom_gaps) >= set(f.dom_gaps)):
-            bad += 1
-        if leq != (set(semilattice_iso(e)) >= set(semilattice_iso(f))):
-            bad += 1
-        if set(semilattice_iso(compose(e, f))) != set(semilattice_iso(e)) | set(semilattice_iso(f)):
-            bad += 1
-    return bad
+        yield leq == (set(e.dom_gaps) >= set(f.dom_gaps))
+        yield leq == (set(semilattice_iso(e)) >= set(semilattice_iso(f)))
+        yield set(semilattice_iso(compose(e, f))) == set(semilattice_iso(e)) | set(semilattice_iso(f))
 
 
 @check("up-set size is 2**gaps")
 def _(rng, cases):
-    bad = 0
     for _ in range(max(1, cases // 10)):
         e = random_idempotent(rng, max_size=12)
         ups = list(iter_up_set(e))
-        if len(ups) != 2 ** len(e.dom_gaps) or len(set(ups)) != len(ups):
-            bad += 1
-        if any(not natural_leq(e, u) for u in ups):
-            bad += 1
+        yield len(ups) == 2 ** len(e.dom_gaps) and len(set(ups)) == len(ups)
+        yield all(natural_leq(e, u) for u in ups)
     for _ in range(cases):
         # a 20-step strictly descending chain, closing one more point a step
-        current = e = random_idempotent(rng)
-        for x in islice((x for x in range(1, 1000) if x not in e.dom_gaps), 20):
-            below = compose(current, CofMap((x,), (x,)))
-            if not natural_leq(below, current) or below == current:
-                bad += 1
-                break
-            current = below
-    return bad
+        e = random_idempotent(rng)
+        closed = islice((x for x in range(1, 1000) if x not in e.dom_gaps), 20)
+        descent = accumulate(closed, lambda above, x: compose(above, CofMap((x,), (x,))), initial=e)
+        yield all(natural_leq(below, above) and below != above for above, below in pairwise(descent))
 
 
 @check("canonical order implies equal shift and pointwise restriction")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         b = random_cofmap(rng)
         e = random_idempotent(rng)
         a = compose(b, e)  # a is a restriction of b by construction
-        if not canonical_leq(a, b):
-            bad += 1
-        if shift(a) != shift(b):
-            bad += 1
-        for x in range(1, 40):
-            if x not in a.dom_gaps and evaluate(a, x) != evaluate(b, x):
-                bad += 1
-                break
-    return bad
+        yield canonical_leq(a, b)
+        yield shift(a) == shift(b)
+        yield all(x in a.dom_gaps or evaluate(a, x) == evaluate(b, x) for x in range(1, 40))
 
 
 @check("translation equations match exhaustive search")
@@ -346,125 +303,91 @@ def _(rng, cases):
             table.setdefault(compose(a, x) if side == "right" else compose(x, a), set()).add(x)
         return table
 
-    bad = 0
     for _ in range(max(1, cases // 30)):
         a = random_cofmap(rng, max_gap=4, max_size=2)
         b = random_cofmap(rng, max_gap=4, max_size=2)
-        if set(solve_right(a, b).solutions) != by_product("right", a).get(b, set()):
-            bad += 1
-        if set(solve_left(a, b).solutions) != by_product("left", a).get(b, set()):
-            bad += 1
-    return bad
+        yield set(solve_right(a, b)) == by_product("right", a).get(b, set())
+        yield set(solve_left(a, b)) == by_product("left", a).get(b, set())
 
 
 @check("bicyclic product matches word rewriting")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         x = Bicyclic(rng.randint(0, 20), rng.randint(0, 20))
         y = Bicyclic(rng.randint(0, 20), rng.randint(0, 20))
         z = x * y
-        if (z.m, z.n) != rewrite_product(x.m, x.n, y.m, y.n):
-            bad += 1
-        if embed(z) != compose(embed(x), embed(y)):
-            bad += 1
-        if as_bicyclic(embed(z)) != z or as_bicyclic(embed(x)) != x:
-            bad += 1
-    return bad
+        yield (z.m, z.n) == rewrite_product(x.m, x.n, y.m, y.n)
+        yield embed(z) == compose(embed(x), embed(y))
+        yield as_bicyclic(embed(z)) == z and as_bicyclic(embed(x)) == x
 
 
 @check("fresh bicyclic copy avoids the standard one")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         e = random_idempotent(rng)
         unity, up, down = fresh_bicyclic(e)
-        if not natural_leq(unity, e) or compose(up, down) != unity:
-            bad += 1
-        if as_bicyclic(unity) is not None:
-            bad += 1
+        yield natural_leq(unity, e) and compose(up, down) == unity
+        yield as_bicyclic(unity) is None
         pow_up = [unity]
         for _ in range(9):
             pow_up.append(compose(pow_up[-1], up))
         s, t = rng.randint(0, 6), rng.randint(0, 6)
         s2, t2 = rng.randint(0, 3), rng.randint(0, 3)
-        if as_bicyclic(compose(invert(pow_up[s]), pow_up[t])) is not None:
-            bad += 1
+        yield as_bicyclic(compose(invert(pow_up[s]), pow_up[t])) is None
         # the copy obeys the bicyclic relation: q^s p^t q^s2 p^t2 == q^(s+s2-k) p^(t+t2-k)
         k = min(t, s2)
         lhs = compose(compose(invert(pow_up[s]), pow_up[t]), compose(invert(pow_up[s2]), pow_up[t2]))
-        if lhs != compose(invert(pow_up[s + s2 - k]), pow_up[t + t2 - k]):
-            bad += 1
-    return bad
+        yield lhs == compose(invert(pow_up[s + s2 - k]), pow_up[t + t2 - k])
 
 
 @check("tail projection glues the map to its standard stand-in")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         g = random_cofmap(rng)
         mu, eps = tail_projection(g)
-        if as_bicyclic(mu) is None or as_bicyclic(eps) is None:
-            bad += 1
-        if compose(g, eps) != compose(mu, eps) or compose(eps, g) != compose(eps, mu):
-            bad += 1
-    return bad
+        yield as_bicyclic(mu) is not None and as_bicyclic(eps) is not None
+        yield compose(g, eps) == compose(mu, eps) and compose(eps, g) == compose(eps, mu)
 
 
 @check("absorbing and dominated standard idempotents")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         e = random_idempotent(rng)
         eps = standard_below(e)
-        if compose(e, eps) != eps or as_bicyclic(eps) is None or not natural_leq(eps, e):
-            bad += 1
+        yield compose(e, eps) == eps and as_bicyclic(eps) is not None and natural_leq(eps, e)
         psi = tail_identity(len(eps.dom_gaps) + 1 + rng.randint(0, 5))
-        if not natural_leq(psi, eps) or as_bicyclic(compose(psi, eps)) is None:
-            bad += 1
-    return bad
+        yield natural_leq(psi, eps) and as_bicyclic(compose(psi, eps)) is not None
 
 
 @check("conjugates of the tail idempotent stay standard")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         g = random_cofmap(rng)
         eps, left, right = conjugation_witness(g)
         for c in (left, right):
-            if not is_idempotent(c) or as_bicyclic(c) is None:
-                bad += 1
+            yield is_idempotent(c) and as_bicyclic(c) is not None
         gi = invert(g)
-        if left != compose(compose(g, eps), gi) or right != compose(compose(gi, eps), g):
-            bad += 1
-    return bad
+        yield left == compose(compose(g, eps), gi) and right == compose(compose(gi, eps), g)
 
 
 @check("group congruence is the shift kernel, with working witnesses")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         a, b = random_cofmap(rng), random_cofmap(rng)
         same_fiber = shift(a) == shift(b)
         w = congruence_witnesses(a, b)
-        if group_congruent(a, b) != same_fiber or (w is None) == same_fiber:
-            bad += 1
+        yield group_congruent(a, b) == same_fiber and (w is None) != same_fiber
         if w is not None:
             l, r = w
-            if as_bicyclic(l) is None or as_bicyclic(r) is None:
-                bad += 1
-            if compose(l, a) != compose(l, b) or compose(a, r) != compose(b, r):
-                bad += 1
+            yield as_bicyclic(l) is not None and as_bicyclic(r) is not None
+            yield compose(l, a) == compose(l, b) and compose(a, r) == compose(b, r)
         else:
             # no idempotent merges maps from different fibers: neither a
             # tail identity nor a random one
             eps = tail_identity(max(shift_threshold(a), shift_threshold(b)) + 5)
-            if compose(eps, a) == compose(eps, b):
-                bad += 1
+            yield compose(eps, a) != compose(eps, b)
             e = random_idempotent(rng)
-            if compose(e, a) == compose(e, b) or compose(a, e) == compose(b, e):
-                bad += 1
-    return bad
+            yield compose(e, a) != compose(e, b) and compose(a, e) != compose(b, e)
 
 
 @check("zero and adjunction semigroups are associative")
@@ -475,54 +398,40 @@ def _(rng, cases):
     def pick_adj():
         return rng.randint(-10, 10) if rng.random() < 0.4 else random_cofmap(rng)
 
-    bad = 0
     for _ in range(cases):
         x, y, z = pick_zero(), pick_zero(), pick_zero()
-        if zero_mul(zero_mul(x, y), z) != zero_mul(x, zero_mul(y, z)):
-            bad += 1
+        yield zero_mul(zero_mul(x, y), z) == zero_mul(x, zero_mul(y, z))
         u, v, w = pick_adj(), pick_adj(), pick_adj()
-        if adj_mul(adj_mul(u, v), w) != adj_mul(u, adj_mul(v, w)):
-            bad += 1
-    return bad
+        yield adj_mul(adj_mul(u, v), w) == adj_mul(u, adj_mul(v, w))
 
 
 @check("neighborhood bases filter correctly")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         g, h = random_cofmap(rng), random_cofmap(rng)
         i = rng.randint(1, 6)
-        if in_zero_nbhd(i + 1, g) and not in_zero_nbhd(i, g):
-            bad += 1
-        if in_zero_nbhd(i, g) != in_zero_nbhd(i, invert(g)):
-            bad += 1
-        if in_zero_nbhd(i, g) and in_zero_nbhd(i, h) and not in_zero_nbhd(i, compose(g, h)):
-            bad += 1
+        yield not in_zero_nbhd(i + 1, g) or in_zero_nbhd(i, g)
+        yield in_zero_nbhd(i, g) == in_zero_nbhd(i, invert(g))
+        yield not (in_zero_nbhd(i, g) and in_zero_nbhd(i, h)) or in_zero_nbhd(i, compose(g, h))
         anchor = random_cofmap(rng)
         x = shift(anchor)
         elem = random_cofmap(rng)
         want = shift(elem) == x and not canonical_leq(anchor, elem)
-        if in_adj_nbhd(x, anchor, elem) != want or not in_adj_nbhd(x, anchor, x):
-            bad += 1
-    return bad
+        yield in_adj_nbhd(x, anchor, elem) == want and in_adj_nbhd(x, anchor, x)
 
 
 @check("translation keeps zero neighborhoods stable")
 def _(rng, cases):
-    bad = 0
     for _ in range(cases):
         i, g, a = rng.randint(1, 6), random_cofmap(rng), random_cofmap(rng, max_size=5)
         if in_zero_nbhd(zero_stability_bound(i, a), g):
-            if not (in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))):
-                bad += 1
-    return bad
+            yield in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))
 
 
 @check("expression round-trip through the printer")
 def _(rng, cases):
     from . import cli  # deferred: only this check needs the parser
 
-    bad = 0
     for _ in range(cases):
         roll = rng.random()
         if roll < 0.55:
@@ -533,9 +442,7 @@ def _(rng, cases):
             v = rng.randint(-50, 50)
         else:
             v = ZERO
-        if cli.eval_expr(cli.parse(cli.render(v))) != v:
-            bad += 1
-    return bad
+        yield cli.eval_expr(cli.parse(cli.render(v))) == v
 
 
 def run_selftest(seed: int = 1, cases: int = 300) -> list[tuple[str, int]]:

@@ -504,6 +504,23 @@ class TestIO:
         out = capsys.readouterr().out
         assert "passed=" in out and "failed=0" in out
 
+    def test_selftest_failure_is_counted_and_exits_1(self, capsys, monkeypatch):
+        # a bound too shallow by the difference of the gap counts breaks one law
+        import cofmap.selftest
+
+        monkeypatch.setattr(cofmap.selftest, "zero_stability_bound",
+                            lambda i, a: i + min(len(a.dom_gaps), len(a.ran_gaps)))
+        name = "translation keeps zero neighborhoods stable"
+        argv = ["selftest", "--seed", "1", "--cases", "300"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert f"FAIL  {name}  (3 failures)" in lines
+        assert lines[-1] == "passed=20 failed=1 seed=1 cases=300"
+        assert main([*argv, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["passed"], doc["failed"]) == (20, 1)
+        assert [c for c in doc["checks"] if c["failures"]] == [{"name": name, "failures": 3}]
+
     def test_selftest_deterministic_across_processes(self):
         a = run_cli("selftest", "--cases", "30", "--json")
         b = run_cli("selftest", "--cases", "30", "--json")
