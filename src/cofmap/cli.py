@@ -66,7 +66,6 @@ from .bicyclic import (
     conjugation_witness,
     embed,
     fresh_bicyclic,
-    group_congruent,
     standard_below,
     tail_projection,
 )
@@ -78,7 +77,6 @@ from .core import (
     compose,
     evaluate,
     gapset,
-    invert,
     iter_up_set,
     natural_leq,
     shift,
@@ -133,7 +131,7 @@ class Inv:
     __slots__ = ("child", "primes", "first_end", "span")
 
     def __init__(self, child, primes, first_end, span):
-        self.child, self.primes = child, primes  # a run of primes, inverting by its parity
+        self.child, self.primes = child, primes  # never an Inv; primes invert by their parity
         self.first_end = first_end  # the end of its first prime
         self.span = span  # from the child's start to the end of its last prime
 
@@ -209,7 +207,10 @@ def parse(text: str):
                 start, end = tok.span(1)
                 if type(node) is Lit and isinstance(node.value, (int, AdjoinedZero)):
                     raise ParseError("integers and the zero have no inverse", (start, start + 1))
-                node = Inv(node, text.count("'", start, end), start + 1, (node.span[0], end))
+                if type(node) is not Inv:  # after "(a')", a run adds to the inverse inside
+                    node = Inv(node, 0, start + 1, node.span)
+                node.primes += text.count("'", start, end)
+                node.span = (node.span[0], end)
             op = tok[2]
             pos = tok.end()
             factors.append(node)
@@ -324,31 +325,26 @@ def _malformed(text: str, pos: int):
 def eval_expr(node):
     """Evaluate a parsed expression to a canonical element value.
 
-    Runs of primes, also those of nested parentheses, invert by the parity
-    of their total.  A product chain checks its carriers left to right, so
-    a mismatch is reported where a left fold meets it, then multiplies
-    pairwise, round by round: every carrier is associative, and a left fold
-    of n one-gap maps costs O(n**2) gap steps.  A pair that is the same two
-    objects as the pair before it in its round reuses that product, so a
-    run of n equal factors (one literal repeated, which :func:`parse` reads
-    once) costs O(log n) products, and a chain that is such a run, or a
-    block of two repeated, at most 2*ceil(log2 n).  Recursion follows only
-    parentheses, which the parser caps.
+    An ``Inv`` inverts by the parity of its primes, which :func:`parse`
+    totals over nested parentheses.  A product chain checks its carriers
+    left to right, so a mismatch is reported where a left fold meets it,
+    then multiplies pairwise, round by round: every carrier is associative,
+    and a left fold of n one-gap maps costs O(n**2) gap steps.  A pair that
+    is the same two objects as the pair before it in its round reuses that
+    product, so a run of n equal factors (one literal repeated, which
+    :func:`parse` reads once) costs O(log n) products, and a chain that is
+    such a run, or a block of two repeated, at most 2*ceil(log2 n).
+    Recursion follows only parentheses, which the parser caps.
     """
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Inv):
-        primes = 0
-        while isinstance(node, Inv):
-            inner, node, primes = node, node.child, primes + node.primes
-        v = eval_expr(node)
+        v = eval_expr(node.child)
         if not isinstance(v, (CofMap, Bicyclic)):
-            # the first prime of the innermost run is the first inversion applied
+            # the first prime of the first run is the first inversion applied
             raise ExprTypeError("integers and the zero have no inverse",
-                                (node.span[0], inner.first_end))
-        if primes % 2 == 0:
-            return v
-        return invert(v) if isinstance(v, CofMap) else v.inverse()
+                                (node.child.span[0], node.first_end))
+        return v.inverse() if node.primes % 2 else v
     values, carriers = [], set()
     for term in node.factors:
         v = term.value if type(term) is Lit else eval_expr(term)
@@ -379,11 +375,7 @@ def _mul_values(v, w):
     if isinstance(v, Bicyclic) and isinstance(w, Bicyclic):
         return v * w
     v, w = _promote(v), _promote(w)
-    if isinstance(v, AdjoinedZero) or isinstance(w, AdjoinedZero):
-        return zero_mul(v, w)
-    if isinstance(v, int) or isinstance(w, int):
-        return adj_mul(v, w)
-    return compose(v, w)
+    return adj_mul(v, w) if isinstance(v, int) or isinstance(w, int) else zero_mul(v, w)
 
 
 def render(v) -> str:
@@ -474,10 +466,6 @@ def _upset(e):
     return 2 ** len(e.dom_gaps), iter_up_set(e)
 
 
-def _gcong(a, b):
-    return group_congruent(a, b), congruence_witnesses(a, b)
-
-
 def _nbhd_zero(depth, elem):
     if isinstance(elem, int):
         raise ValueError("integers are not elements of the zero-adjoined monoid")
@@ -557,14 +545,13 @@ class _Listing:
         return listed
 
 
-def _congruence(result, args):
-    ok, witnesses = result
+def _congruence(witnesses, args):
+    """The verdict, then the two witnesses; there are none when the shifts differ."""
     labels = ("left_witness", "right_witness")
-    if witnesses:
-        shown = _labelled(*labels)(witnesses, args)
-    else:
-        shown = dict.fromkeys(labels) if args.json else []
-    return {"congruent": ok, **shown} if args.json else [str(ok).lower(), *shown]
+    if witnesses is None:
+        return {"congruent": False, **dict.fromkeys(labels)} if args.json else ["false"]
+    shown = _labelled(*labels)(witnesses, args)
+    return {"congruent": True, **shown} if args.json else ["true", *shown]
 
 
 def _selftest_report(report, args):
@@ -606,7 +593,8 @@ COMMANDS = {
     "below-c": ("standard-copy idempotent below an idempotent", [EXPR], standard_below, _element),
     "conj-witness": ("idempotent whose conjugates under the map stay standard", [EXPR],
                      conjugation_witness, _labelled("idempotent", "conjugate_left", "conjugate_right")),
-    "gcong": ("least-group-congruence test with witnesses", [FIRST, SECOND], _gcong, _congruence),
+    "gcong": ("least-group-congruence test with witnesses", [FIRST, SECOND],
+              congruence_witnesses, _congruence),
     "nbhd-zero": ("membership in a basic zero neighborhood", [("depth", int), ("expr", ELEM)],
                   _nbhd_zero, _scalar),
     "nbhd-adj": ("membership in a basic integer neighborhood",

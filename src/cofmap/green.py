@@ -122,53 +122,71 @@ class SolutionSet:
       ``sys.maxsize``;
     - ``x in s`` is one composition;
     - iteration yields the solutions in lexicographic order of their
-      gap-set pairs, from one walk over the least solution's domain gaps,
-      built ``CHUNK`` at a time with no Python call a solution and at most
-      one chunk ahead of the consumer; the set may be empty.
+      gap-set pairs, at most one ``CHUNK`` ahead of the consumer; the set
+      may be empty.
 
-    ``solutions`` is the set itself.  Two sets are equal when they solve
-    the same equation, since the equation fixes the members.
+    Two sets are equal when they solve the same equation, since the
+    equation fixes the members.  The ``solutions`` alias (the set itself)
+    and ``len()`` are kept for the benchmark in ``perfbench/``.
     """
 
-    __slots__ = ("side", "factor", "target", "count", "_walk", "_head", "_blocks")
+    __slots__ = ("side", "factor", "target", "count", "_walk", "_blocks", "_tail")
 
     def __init__(self, side: str, factor: CofMap, target: CofMap):
         self.side, self.factor, self.target = side, factor, target
-        if side == "right":
-            found = _right_blocks(factor, target)
-        else:  # x * a == b iff a^-1 * x^-1 == b^-1: the inverses of the mirror's solutions
-            found = _right_blocks(invert(factor), invert(target))
-        self.count, self._walk, self._head, self._blocks = 0, None, (), ()
-        if found is None:
-            return
-        least, barred, spans = found
+        self.count, self._walk, self._blocks, self._tail = 0, None, (), ()
+        # x * a == b iff a' * x' == b': on the left, the mirror's solutions inverted
+        a, b = (factor, target) if side == "right" else (invert(factor), invert(target))
+        # The least solution a' * b (see solve_right) has the image gaps of b,
+        # the slots.  Its domain gaps, the unforced points, are the image gaps
+        # of a, which a solution may take into its domain (optional), and the
+        # images under a of the domain gaps of b, which none may (barred).
+        least = compose(invert(a), b)
+        if len(least.ran_gaps) != len(b.ran_gaps):
+            return  # b maps a domain gap of a, whose image a' * b misses
         unforced, slots = least.dom_gaps, least.ran_gaps
-        # Every solution's domain gaps are among the least solution's: the
-        # unforced points on the right, the slots (the mirror's image side)
-        # on the left.  A solution leaves out k of a block's free domain
-        # points, at most as many as the block has free image points, and
-        # keeps all but k of those as image gaps.
+        barred = set(unforced).difference(a.ran_gaps)
+        # The points either side of a run of consecutive unforced points are
+        # in every solution's domain, with their values in the least
+        # solution, and a solution sends the optional points of the run that
+        # it takes, in order, to the slots between those values: a run with
+        # both is a block.  A solution leaves out k of a block's free domain
+        # points (on the left, its slots), at most as many as it has free
+        # image points, and keeps all but k of those as image gaps.
         dom, ran = (unforced, slots) if side == "right" else (slots, unforced)
         of = [-1] * len(dom)  # block of each point of dom, -1 if every solution keeps it
-        blocks, fixed, at = [], [], 0
-        count = 1
-        for j, (s, t, lo, hi) in enumerate(spans):
-            optional = [i for i in range(s, t) if unforced[i] not in barred]
-            if side == "right":
-                free, required, start, end = slots[lo:hi], (), lo, hi
-                for i in optional:
-                    of[i] = j
-            else:
-                free, start, end = tuple(unforced[i] for i in optional), s, t
-                required = tuple(p for p in unforced[s:t] if p in barred)
-                of[lo:hi] = [j] * (hi - lo)
-            count *= comb(len(optional) + hi - lo, len(optional))
-            blocks.append((free, required))
-            fixed.append(ran[at:start])  # the image gaps every solution has before block j
-            at = end
-        fixed.append(ran[at:])
-        self.count, self._walk, self._head = count, (dom, of), fixed[0]
-        self._blocks = tuple((free, required, tail) for (free, required), tail in zip(blocks, fixed[1:]))
+        blocks, sizes, count = [], [], 1  # sizes: the points of dom in each block
+        at = 0  # ran[:at] lie before the last block or in it
+        start = taken = 0  # the run starts at unforced[start]; slots[:taken] lie below it
+        for end in range(1, len(unforced) + 1):
+            if end < len(unforced) and unforced[end] == unforced[end - 1] + 1:
+                continue
+            optional = [i for i in range(start, end) if unforced[i] not in barred]
+            if optional:
+                # the points on either side have ranks r and r + 1 in dom x,
+                # and slots[lo:taken] lie between their images
+                r = unforced[start] - 1 - start
+                lo = _unrank(slots, r, taken) - r
+                taken = _unrank(slots, r + 1, lo) - r - 1
+                if lo < taken:
+                    j = len(blocks)
+                    if side == "right":
+                        free, required, s, t = slots[lo:taken], (), lo, taken
+                        for i in optional:
+                            of[i] = j
+                    else:
+                        free, s, t = tuple(unforced[i] for i in optional), start, end
+                        required = tuple(p for p in unforced[start:end] if p in barred)
+                        of[lo:taken] = [j] * (taken - lo)
+                    count *= comb(len(optional) + taken - lo, len(optional))
+                    sizes.append(len(optional) if side == "right" else taken - lo)
+                    # with the image gaps every solution has between the block before and this one
+                    blocks.append((ran[at:s], free, required))
+                    at = t
+            start = end
+        sizes.append(0)  # for the kept points, block -1, which no block reads
+        self.count, self._walk = count, (dom, of, sizes)
+        self._blocks, self._tail = tuple(blocks), ran[at:]
 
     @property
     def solutions(self) -> "SolutionSet":
@@ -189,11 +207,8 @@ class SolutionSet:
     def __iter__(self):
         if not self.count:
             return iter(())
-        dom, of = self._walk
-        sizes = [0] * (len(self._blocks) + 1)  # points of each block, then the kept points
-        for j in of:
-            sizes[j] += 1
-        walk = _ordered_subsets(dom, of, [len(free) for free, _, _ in self._blocks])
+        dom, of, sizes = self._walk
+        walk = _ordered_subsets(dom, of, [len(free) for _, free, _ in self._blocks])
         return chain.from_iterable(map(self._built, walk, repeat(dict(zip(dom, of))), repeat(sizes)))
 
     def _built(self, dom_gaps, block, sizes):
@@ -203,7 +218,7 @@ class SolutionSet:
         ks = list(sizes)
         for j in map(block.__getitem__, dom_gaps):
             ks[j] -= 1
-        levels, prefix = self._rans(self._head, ks)
+        levels, prefix = self._rans(ks)
         if not levels:  # one image
             return (_trusted(dom_gaps, prefix),)
         rans = self._kept(levels, 0, prefix)
@@ -212,25 +227,26 @@ class SolutionSet:
             return maps
         return chain(maps, chain.from_iterable(iter(partial(_chunk, dom_gaps, rans), [])))
 
-    def _rans(self, prefix, ks):
+    def _rans(self, ks):
         # (levels, prefix) for the image gaps of the solutions whose blocks
         # leave out ks: block i keeps all but ks[i] of its free slots, and
         # _kept lists them in lexicographic order.  A block with one way to
-        # keep them joins the fixed gaps before it, so that every level of
+        # keep them joins the fixed gaps around it, so that every level of
         # the walk has two choices or more and a solution costs O(gaps),
         # however many blocks there are; with no level, prefix is the one
         # image.  The fixed gaps gather in a list a level, frozen once, so a
         # domain group costs O(blocks + gaps) in copying.
         levels = []  # [free slots, how many to keep, required gaps, fixed gaps after]
-        head = fixed = list(prefix)
-        for (free, required, tail), k in zip(self._blocks, ks):
+        head = fixed = []
+        for (lead, free, required), k in zip(self._blocks, ks):
+            fixed += lead
             if 0 < k < len(free):
-                fixed = list(tail)
+                fixed = []
                 levels.append([free, len(free) - k, required, fixed])
                 continue
             kept = free if k == 0 else ()
             fixed += sorted(kept + required) if required else kept
-            fixed += tail
+        fixed += self._tail
         for level in levels:
             level[3] = tuple(level[3])
         return levels, tuple(head)
@@ -278,45 +294,3 @@ def solve_left(a: CofMap, b: CofMap) -> SolutionSet:
     least solution is ``b * a'``.
     """
     return SolutionSet("left", a, b)
-
-
-def _right_blocks(a: CofMap, b: CofMap):
-    """The least solution of ``a * x == b`` and the blocks of the others,
-    or None when it has no solution.
-
-    The equation is solvable iff dom b sits inside dom a, and then ``a' *
-    b`` is its least solution in the restriction order: every solution
-    extends it.  The least solution's image gaps are those of ``b``.  Its
-    domain gaps are the image gaps of ``a``, which a solution may take into
-    its domain (optional), and the images under ``a`` of the domain gaps
-    of ``b``, which none may (barred).  The points on either side of a run
-    of consecutive domain gaps are in every solution's domain, with their
-    values in the least solution; a solution sends the optional points of
-    the run that it takes, in order, to image gaps of ``b`` between those
-    two values, the run's slots.
-
-    Returns ``(least, barred, blocks)``: ``barred`` as a set, and for each
-    run ``least.dom_gaps[s:t]`` with an optional point and a slot, ``(s, t,
-    lo, hi)``, where ``b.ran_gaps[lo:hi]`` are its slots.  This costs one
-    ``compose`` and two binary searches a run.
-    """
-    least = compose(invert(a), b)
-    if len(least.ran_gaps) != len(b.ran_gaps):
-        return None  # b maps a domain gap of a, whose image a' * b misses
-    unforced, b_ran = least.dom_gaps, b.ran_gaps
-    barred = set(unforced).difference(a.ran_gaps)
-    blocks = []
-    start = taken = 0  # the run starts at unforced[start]; b_ran[:taken] lie below it
-    for end in range(1, len(unforced) + 1):
-        if end < len(unforced) and unforced[end] == unforced[end - 1] + 1:
-            continue
-        if not barred.issuperset(unforced[start:end]):
-            # the points on either side have ranks r and r + 1 in dom x, and
-            # the image gaps of b between their images are the slots
-            r = unforced[start] - 1 - start
-            lo = _unrank(b_ran, r, taken) - r
-            taken = _unrank(b_ran, r + 1, lo) - r - 1
-            if lo < taken:
-                blocks.append((start, end, lo, taken))
-        start = end
-    return least, barred, blocks

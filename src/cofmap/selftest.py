@@ -84,6 +84,13 @@ def random_cofmap(rng, max_gap: int = 30, max_size: int = 10) -> CofMap:
     )
 
 
+def random_gapset_holding(rng, size: int, part, max_gap: int = 40) -> tuple:
+    """At least ``size`` gaps inside [1, max_gap], among them a random part of ``part``."""
+    held = rng.sample(part, rng.randint(0, len(part)))
+    rest = [x for x in range(1, max_gap + 1) if x not in held]
+    return tuple(sorted(held + rng.sample(rest, max(0, size + rng.randint(0, 2) - len(held)))))
+
+
 def random_idempotent(rng, max_gap: int = 30, max_size: int = 10) -> CofMap:
     gaps = random_gapset(rng, max_gap, max_size)
     return CofMap(gaps, gaps)
@@ -122,6 +129,13 @@ def two_row(dom_gaps, ran_gaps, n=200, slack=60):
         if y > n + slack:
             raise AssertionError("window too small for the gap sets")
     return dict(zip(dom_pts, ran_pts))
+
+
+def restricts(a: CofMap, b: CofMap) -> bool:
+    """Whether ``b`` agrees with ``a`` on dom a, judged on :func:`two_row`
+    windows, which decide it when both shift thresholds lie inside them."""
+    rows = two_row(b.dom_gaps, b.ran_gaps)
+    return all(rows.get(x) == y for x, y in two_row(a.dom_gaps, a.ran_gaps).items())
 
 
 def two_row_compose(m1, m2):
@@ -258,7 +272,7 @@ def _(rng, cases):
     for _ in range(cases):
         e, f = random_idempotent(rng), random_idempotent(rng)
         leq = natural_leq(e, f)
-        yield leq == (set(e.dom_gaps) >= set(f.dom_gaps))
+        yield leq == (compose(e, f) == e)
         yield leq == (set(semilattice_iso(e)) >= set(semilattice_iso(f)))
         yield set(semilattice_iso(compose(e, f))) == set(semilattice_iso(e)) | set(semilattice_iso(f))
 
@@ -287,6 +301,17 @@ def _(rng, cases):
         yield canonical_leq(a, b)
         yield shift(a) == shift(b)
         yield all(x in a.dom_gaps or evaluate(a, x) == evaluate(b, x) for x in range(1, 40))
+        # pairs seldom in the order, with b's shift: a with an image gap
+        # moved to a free point, and a random map with n - f and n gaps
+        if a.ran_gaps:
+            gone = rng.choice(a.ran_gaps)
+            new = rng.choice([x for x in range(1, 41) if x not in a.ran_gaps])
+            c = CofMap(a.dom_gaps, sorted({*a.ran_gaps, new} - {gone}))
+            yield canonical_leq(c, b) == restricts(c, b)
+        f = shift(b)
+        n = rng.randint(max(0, f), min(10, 10 + f))
+        c = CofMap(sorted(rng.sample(range(1, 31), n - f)), sorted(rng.sample(range(1, 31), n)))
+        yield canonical_leq(c, b) == restricts(c, b)
 
 
 @check("translation equations match exhaustive search")
@@ -422,10 +447,14 @@ def _(rng, cases):
 
 @check("translation keeps zero neighborhoods stable")
 def _(rng, cases):
+    # g misses j points a side or more, so the premise holds, and has some
+    # image gaps on domain gaps of a and some domain gaps on image gaps of a,
+    # where g * a and a * g miss the fewest points
     for _ in range(cases):
-        i, g, a = rng.randint(1, 6), random_cofmap(rng), random_cofmap(rng, max_size=5)
-        if in_zero_nbhd(zero_stability_bound(i, a), g):
-            yield in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))
+        i, a = rng.randint(1, 6), random_cofmap(rng, max_size=5)
+        j = zero_stability_bound(i, a)
+        g = CofMap(random_gapset_holding(rng, j, a.ran_gaps), random_gapset_holding(rng, j, a.dom_gaps))
+        yield in_zero_nbhd(i, compose(g, a)) and in_zero_nbhd(i, compose(a, g))
 
 
 @check("expression round-trip through the printer")

@@ -271,6 +271,14 @@ class TestRender:
         assert elapsed < 0.1  # a walk costing (K + gaps) * gaps takes seconds here
 
 
+# an element outside the carrier a command works in
+CARRIER_REFUSALS = [
+    (["f", "O"], "the zero has no shift index"),
+    (["nbhd-zero", "1", "z[1]"], "integers are not elements of the zero-adjoined monoid"),
+    (["nbhd-adj", "0", "m[;]", "O"], "the zero is not an element of the adjunction semigroup"),
+]
+
+
 class TestMainExitCodes:
     def test_success(self, capsys):
         assert main(["eval", "m[;1] * m[1;]"]) == 0
@@ -320,6 +328,13 @@ class TestMainExitCodes:
 
     def test_type_error_is_1(self, capsys):
         assert main(["eval", "z[1] * O"]) == 1
+
+    @pytest.mark.parametrize("argv,message", CARRIER_REFUSALS,
+                             ids=[" ".join(argv) for argv, _ in CARRIER_REFUSALS])
+    def test_element_outside_the_command_carrier_is_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:
@@ -514,12 +529,12 @@ class TestIO:
         argv = ["selftest", "--seed", "1", "--cases", "300"]
         assert main(argv) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert f"FAIL  {name}  (3 failures)" in lines
+        assert f"FAIL  {name}  (45 failures)" in lines
         assert lines[-1] == "passed=20 failed=1 seed=1 cases=300"
         assert main([*argv, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert (doc["passed"], doc["failed"]) == (20, 1)
-        assert [c for c in doc["checks"] if c["failures"]] == [{"name": name, "failures": 3}]
+        assert [c for c in doc["checks"] if c["failures"]] == [{"name": name, "failures": 45}]
 
     def test_selftest_deterministic_across_processes(self):
         a = run_cli("selftest", "--cases", "30", "--json")

@@ -206,6 +206,8 @@ class TestEvaluate:
     def test_rejects_nonpositive_points(self):
         with pytest.raises(ValueError):
             evaluate(IDENTITY, 0)
+        with pytest.raises(ValueError):
+            preimage(IDENTITY, 0)
 
     @given(cofmaps, st.integers(min_value=1, max_value=120))
     def test_matches_two_row_oracle(self, g, n):
