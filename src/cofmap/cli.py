@@ -20,10 +20,11 @@ Parsing takes one regular expression match per term (an element or ``(``)
 and one per run of primes or operator (``*``, ``)``), and splits a map's gap
 lists with ``str`` methods, so its cost follows the number of terms and gaps,
 with no Python step per character, prime or number.  A map written more than
-once in one expression is converted and checked once.  A nested pattern that
-places an error runs only on a term that does not read.  Evaluation multiplies
-a product chain pairwise, reusing a product where a pair repeats the one before
-it, so a run of n equal factors costs O(log n) compositions, not n - 1.
+once in one expression is converted and checked once.  Only a term that does
+not read is read again, a step at a time, to place its error.  Evaluation
+multiplies a product chain pairwise, reusing a product where a pair repeats
+the one before it, so a run of n equal factors costs O(log n) compositions,
+not n - 1.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -251,75 +252,64 @@ def _number(match, group: int) -> int:
         raise ParseError(f"number has more than {limit} digits", match.span(group)) from None
 
 
-@functools.cache  # compiled on the first error only
-def _partial():
-    # An element whose parts after its letter are each optional and nested
-    # in the part before, so that a malformed one matches up to its first
-    # bad character.  Group 1 is the element; then the gap lists and "]" of
-    # a map, the numbers and "]" of b[m,n], and the number and "]" of z[k].
-    gaps = r"\d+(?:\s*,\s*\d+)*"
-    return re.compile(rf"""\s*(
-        m(?:\s*\[(?:\s*({gaps}))?(?:\s*;(?:\s*({gaps}))?(?:\s*(\]))?)?)?
-      | b(?:\s*\[(?:\s*(\d+)(?:\s*,(?:\s*(\d+)(?:\s*(\]))?)?)?)?)?
-      | z(?:\s*\[(?:\s*([+-]?\d+)(?:\s*(\]))?)?)?
-    )""", re.VERBOSE)
+# The steps of an element after its letter, which _malformed reads one at a
+# time: a character, or G a gap list, N a natural number, I an integer.
+_STEPS = {"m": "[G;G]", "b": "[N,N]", "z": "[I]"}
+_DIGITS = re.compile(r"\d+")
+_READS = {"G": re.compile(r"\d+(?:\s*,\s*\d+)*"), "N": _DIGITS, "I": re.compile(r"[+-]?\d+")}
 
 
-def _gaps(text: str, tok, group: int, open_end=False) -> tuple:
-    # The gap set of a gap list matched by _partial(); the span of a bad one
-    # runs from its first digit past the whitespace after its last.  With
-    # open_end, the match stopped after this list, maybe at a "," with no
-    # number after it.
-    s, e = tok.span(group)
+def _gaps(text: str, s: int, e: int):
+    # Check the gap list text[s:e] that _malformed read: its numbers, then
+    # a "," after it with no number, then gapset.  The span of a bad list
+    # runs from its first digit past the whitespace after its last.
+    gaps = [_number(n, 0) for n in _DIGITS.finditer(text, s, e)]
+    at = _SPACE.match(text, e).end()
+    if text.startswith(",", at):
+        at = _SPACE.match(text, at + 1).end()
+        raise ParseError("expected a number", (at, at + 1))
     try:
-        gaps = tuple(map(int, map(_strip, text[s:e].split(","))))
-    except ValueError:  # a number past int's digit limit: _number reports it
-        gaps = tuple(_number(n, 0) for n in re.compile(r"\d+").finditer(text, s, e))
-    if open_end:
-        at = _SPACE.match(text, e).end()
-        if text.startswith(",", at):
-            at = _SPACE.match(text, at + 1).end()
-            raise ParseError("expected a number", (at, at + 1))
-    try:
-        return gapset(gaps)
+        gapset(gaps)
     except ValueError as exc:
-        raise ParseError(str(exc), (s, _SPACE.match(text, e).end())) from None
+        raise ParseError(str(exc), (s, at)) from None
 
 
 def _malformed(text: str, pos: int):
     """Raise the error of the term at ``pos``, which :func:`parse` refused.
 
-    ``_partial()`` matches an element up to where it went wrong, and the
-    last character it took says what was expected there.  What the match
-    did take is checked first, in reading order: its numbers are converted
-    (``int`` refuses very long ones), then its gap lists are checked, so a
-    bad list is reported before a missing separator after it.  A term that
-    passes every check is a fault of the reader, never a value.
+    The term is read again a step of :data:`_STEPS` at a time, after any
+    whitespace, and the first step that does not read is the error.  Each
+    number is converted as it is read (``int`` refuses very long ones).  A
+    gap list is checked as soon as it is read: its numbers, then a ``,``
+    after its last one, then :func:`gapset`, so a bad list is reported
+    before a missing separator after it.  A gap list with no number is an
+    empty list only when its closing separator comes next; otherwise a
+    number was expected.  A term that reads to its end is a fault of the
+    reader, never a value.
     """
-    tok = _partial().match(text, pos)
-    if tok is None:
-        at = _SPACE.match(text, pos).end()
-        raise ParseError("expected an element, '(' or 'id'", (at, at + 1))
-    end = tok.end()
-    at = _SPACE.match(text, end).end()
-    last = text[end - 1]
-    head = text[tok.start(1)]
-    if head == "m":
-        dom, ran = tok.group(2, 3)
-        after_dom = ran is not None or last == ";"
-        if dom:
-            _gaps(text, tok, 2, open_end=not after_dom)
-        if ran:
-            _gaps(text, tok, 3, open_end=True)
-        expected = ("']'" if ran else "a number" if after_dom or last == "["
-                    else "';'" if dom else "'['")
-    else:  # b[m,n] or z[k]
-        numbers = [_number(tok, g) for g in (5, 6, 8) if tok.group(g)]
-        full = len(numbers) == (2 if head == "b" else 1)
-        expected = "']'" if full else "a number" if last in ",[" else "','" if numbers else "'['"
-    if last == "]":
-        raise AssertionError(f"the reader refused a well-formed term at {pos} of {text!r}")
-    raise ParseError(f"expected {expected}", (at, at + 1))
+    start = _SPACE.match(text, pos).end()
+    steps = _STEPS.get(text[start:start + 1])
+    if steps is None:
+        raise ParseError("expected an element, '(' or 'id'", (start, start + 1))
+    end = start + 1
+    for i, step in enumerate(steps):
+        at = _SPACE.match(text, end).end()
+        if step not in _READS:  # a character
+            if not text.startswith(step, at):
+                raise ParseError(f"expected '{step}'", (at, at + 1))
+            end = at + 1
+            continue
+        tok = _READS[step].match(text, at)
+        if tok is None:
+            if step == "G" and text.startswith(steps[i + 1], at):
+                continue  # an empty gap list
+            raise ParseError("expected a number", (at, at + 1))
+        end = tok.end()
+        if step == "G":
+            _gaps(text, at, end)
+        else:
+            _number(tok, 0)
+    raise AssertionError(f"the reader refused a well-formed term at {start} of {text!r}")
 
 
 def eval_expr(node):

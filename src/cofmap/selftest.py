@@ -438,10 +438,11 @@ def _(rng, cases):
         yield not in_zero_nbhd(i + 1, g) or in_zero_nbhd(i, g)
         yield in_zero_nbhd(i, g) == in_zero_nbhd(i, invert(g))
         yield not (in_zero_nbhd(i, g) and in_zero_nbhd(i, h)) or in_zero_nbhd(i, compose(g, h))
-        anchor = random_cofmap(rng)
-        x = shift(anchor)
         elem = random_cofmap(rng)
-        want = shift(elem) == x and not canonical_leq(anchor, elem)
+        # in a third of the draws elem extends the anchor, a restriction of it
+        anchor = compose(random_idempotent(rng), elem) if rng.randrange(3) == 0 else random_cofmap(rng)
+        x = shift(anchor)
+        want = shift(elem) == x and not restricts(anchor, elem)
         yield in_adj_nbhd(x, anchor, elem) == want and in_adj_nbhd(x, anchor, x)
 
 

@@ -11,7 +11,7 @@ default ``cofmap selftest`` settings.
 import pytest
 
 import cofmap.selftest
-from cofmap import CofMap, compose, evaluate, shift
+from cofmap import CofMap, compose, evaluate, in_adj_nbhd, shift
 from cofmap.selftest import CHECKS, rng_for
 
 SEED = 1
@@ -37,6 +37,12 @@ def _evaluate_off_by_one(g, x):
     return y + 1 if y is not None and x >= 25 and x % 7 == 0 else y
 
 
+def _in_adj_nbhd_admitting_wide_maps(x, anchor, elem):
+    # also admits every map of shift x with more than 6 domain gaps
+    wide = isinstance(elem, CofMap) and shift(elem) == x and len(elem.dom_gaps) > 6
+    return wide or in_adj_nbhd(x, anchor, elem)
+
+
 MUTANTS = [
     ("compose", _compose_dropping_last_gaps, "compose agrees with pointwise composition"),
     ("evaluate", _evaluate_off_by_one, "shift is additive and the tail law holds"),
@@ -44,6 +50,7 @@ MUTANTS = [
      "translation keeps zero neighborhoods stable"),
     ("canonical_leq", lambda a, b: shift(a) == shift(b),
      "canonical order implies equal shift and pointwise restriction"),
+    ("in_adj_nbhd", _in_adj_nbhd_admitting_wide_maps, "neighborhood bases filter correctly"),
 ]
 
 

@@ -73,6 +73,17 @@ SYNTAX_ERRORS = [
     ("m[;00]", "gap entries must be positive integers, got 0 (at 3..5)"),
     ("m[;1 x]", "expected ']' (at 5..6)"),
     ("m[;]]", "trailing input (at 4..5)"),
+    # where each step of an element ends the input
+    ("m", "expected '[' (at 1..2)"),
+    ("m[", "expected a number (at 2..3)"),
+    ("m[1;", "expected a number (at 4..5)"),
+    ("b", "expected '[' (at 1..2)"),
+    ("b[", "expected a number (at 2..3)"),
+    ("b[1", "expected ',' (at 3..4)"),
+    ("b[1,", "expected a number (at 4..5)"),
+    ("z", "expected '[' (at 1..2)"),
+    ("z[", "expected a number (at 2..3)"),
+    ("z[5", "expected ']' (at 3..4)"),
     # bicyclic elements
     ("b 1", "expected '[' (at 2..3)"),
     ("b[1]", "expected ',' (at 3..4)"),

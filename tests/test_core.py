@@ -180,6 +180,12 @@ class TestValueType:
         assert hash(self.G) == hash(((1, 3), (2,)))
         assert hash(IDENTITY) == hash(((), ()))
 
+    def test_products_with_other_types_are_refused(self):
+        for product in (lambda: CofMap() * 2, lambda: CofMap() * Bicyclic(0, 1),
+                        lambda: Bicyclic(0, 1) * CofMap()):
+            with pytest.raises(TypeError):
+                product()
+
     def test_repr(self):
         assert repr(self.G) == "CofMap([1, 3], [2])"
         assert repr(IDENTITY) == "CofMap([], [])"

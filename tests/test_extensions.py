@@ -39,6 +39,9 @@ class TestZeroMonoid:
         assert zero_mul(ZERO, ZERO) is ZERO
         assert zero_mul(UP, DOWN) == IDENTITY
 
+    def test_repr(self):
+        assert repr(ZERO) == "ZERO"
+
     @given(zero_elems, zero_elems, zero_elems)
     def test_associative(self, x, y, z):
         assert zero_mul(zero_mul(x, y), z) == zero_mul(x, zero_mul(y, z))

@@ -312,6 +312,10 @@ class TestSolutionSet:
         assert hash(solve_right(a, b)) == hash(solve_right(a, b))
         assert solve_right(a, b) != solve_left(a, b)
         assert solve_right(a, b) != solve_right(b, b)
+        assert solve_right(UP, UP) != 5
+
+    def test_repr(self):
+        assert repr(solve_right(UP, UP)) == "SolutionSet('right', CofMap([], [1]), CofMap([], [1]), count=2)"
 
     # 1,716 solutions, or 27,132 with 1,716 of them sharing m[;1..6]'s domain
     @pytest.mark.parametrize("p, q", [(6, 7), (7, 6), (6, 13)])
