@@ -19,12 +19,15 @@ Numbers are written in Unicode decimal digits, which ``int`` reads:
 Parsing takes one regular expression match per term (an element or ``(``)
 and one per run of primes or operator (``*``, ``)``), and splits a map's gap
 lists with ``str`` methods, so its cost follows the number of terms and gaps,
-with no Python step per character, prime or number.  A map written more than
-once in one expression is converted and checked once.  Only a term that does
-not read is read again, a step at a time, to place its error.  Evaluation
+with no Python step per character, prime or number.  A run of equal factors
+(the same text, such as ``m[;1]' * m[;1]' * ...`` or ``(a*b)*(a*b)*...``) is
+read as its first factor and a power, in O(log n) C-level ``startswith``
+calls.  A map written more than once in one expression is converted and
+checked once.  Only a term that does not read is read again, a step at a
+time, to place its error.  Evaluation raises a power by squaring and
 multiplies a product chain pairwise, reusing a product where a pair repeats
-the one before it, so a run of n equal factors costs O(log n) compositions,
-not n - 1.
+the one before it, so a run of n equal factors, or of a repeated block of
+two literals, costs O(log n) products, not n - 1.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -145,13 +148,21 @@ class Mul:
         self.span = span
 
 
+class Pow:
+    __slots__ = ("child", "count", "span")
+
+    def __init__(self, child, count, span):
+        self.child, self.count = child, count  # the factor before it, repeated count more times
+        self.span = span  # the text of those copies, each through its "*" and the whitespace after
+
+
 # _TERM reads a whole term after any whitespace (group 1): a map's bracket
 # text (group 2), the numbers of b[m,n] and z[k], "id", "O" or "(".  _AFTER
 # reads what may follow a term: a run of primes with any whitespace between
-# them (group 1), then "*", ")" or nothing (group 2).
+# them (group 1), then "*", ")" or nothing (group 2), then any whitespace.
 _TERM = re.compile(r"\s*(m\s*\[([\d\s,;]*)\]|b\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]"
                    r"|z\s*\[\s*([+-]?\d+)\s*\]|id|[O(])")
-_AFTER = re.compile(r"\s*('(?:\s*')*)?\s*([*)]?)")
+_AFTER = re.compile(r"\s*('(?:\s*')*)?\s*([*)]?)\s*")
 _SPACE = re.compile(r"\s*")
 _strip = str.strip  # \s matches "\x1c".."\x1f", which int() does not strip
 
@@ -164,9 +175,17 @@ def parse(text: str):
     the current product are kept on a stack, so nothing recurses.  A map's
     bracket text is read once a call: every later occurrence of the same
     text holds the same (immutable) map, in a node with its own span.
+
+    A term followed by ``*`` is checked for copies: its text from its start
+    through the ``*`` and the whitespace after it, repeated back to back.
+    The copies are counted by :func:`_copies` in O(log n) ``startswith``
+    calls and kept as one :class:`Pow` after the term, which stays an
+    ordinary node.  Equal text at one depth is an equal term, so nothing in
+    the copies is read again: an error lies in the first copy or after the
+    last, and is raised there, as a term-by-term reading would.
     """
-    term, after = _TERM.match, _AFTER.match
-    outer = []  # the factors of each enclosing product, innermost last
+    term, after, startswith = _TERM.match, _AFTER.match, text.startswith
+    outer = []  # the factors and "(" position of each enclosing product, innermost last
     factors = []  # the factors of the current product
     maps = {}  # bracket text -> its map, so a repeated literal is read once
     pos = 0
@@ -194,7 +213,7 @@ def parse(text: str):
         elif head == "(":
             if len(outer) == MAX_NESTING:
                 raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", (start, pos))
-            outer.append(factors)
+            outer.append((factors, start))
             factors = []
             continue
         elif head == "O":
@@ -205,29 +224,54 @@ def parse(text: str):
         while True:
             tok = after(text, pos)
             if tok[1]:
-                start, end = tok.span(1)
+                first, end = tok.span(1)
                 if type(node) is Lit and isinstance(node.value, (int, AdjoinedZero)):
-                    raise ParseError("integers and the zero have no inverse", (start, start + 1))
+                    raise ParseError("integers and the zero have no inverse", (first, first + 1))
                 if type(node) is not Inv:  # after "(a')", a run adds to the inverse inside
-                    node = Inv(node, 0, start + 1, node.span)
-                node.primes += text.count("'", start, end)
+                    node = Inv(node, 0, first + 1, node.span)
+                node.primes += text.count("'", first, end)
                 node.span = (node.span[0], end)
             op = tok[2]
             pos = tok.end()
             factors.append(node)
             if op == "*":
+                unit = text[start:pos]  # the term, its "*" and the whitespace after
+                if startswith(unit, pos):
+                    count, end = _copies(text, unit, pos)
+                    factors.append(Pow(node, count, (pos, end)))
+                    pos = end
                 break
             node = factors[0] if len(factors) == 1 else \
                 Mul(tuple(factors), (factors[0].span[0], node.span[1]))
             if op and outer:
-                factors = outer.pop()
+                factors, start = outer.pop()
                 continue
-            at = pos - len(op)
+            at = tok.start(2)
             if outer:
                 raise ParseError("expected ')'", (at, at + 1))
             if at != len(text):
                 raise ParseError("trailing input", (at, len(text)))
             return node
+
+
+def _copies(text: str, unit: str, pos: int):
+    """How many copies of ``unit`` stand back to back at ``pos`` (one at
+    least), and where the last ends: blocks of 1, 2, 4, ... copies while
+    they match, then of half as many each step down to one, so O(log n)
+    ``startswith`` calls over O(n) characters."""
+    count, k = 0, 1
+    while text.startswith(unit, pos):
+        pos += len(unit)
+        count += k
+        unit += unit
+        k += k
+    while k > 1:
+        k >>= 1
+        unit = unit[:len(unit) >> 1]
+        if text.startswith(unit, pos):
+            pos += len(unit)
+            count += k
+    return count, pos
 
 
 def _gap_list(text: str) -> tuple:
@@ -319,11 +363,13 @@ def eval_expr(node):
     totals over nested parentheses.  A product chain checks its carriers
     left to right, so a mismatch is reported where a left fold meets it,
     then multiplies pairwise, round by round: every carrier is associative,
-    and a left fold of n one-gap maps costs O(n**2) gap steps.  A pair that
-    is the same two objects as the pair before it in its round reuses that
-    product, so a run of n equal factors (one literal repeated, which
-    :func:`parse` reads once) costs O(log n) products, and a chain that is
-    such a run, or a block of two repeated, at most 2*ceil(log2 n).
+    and a left fold of n one-gap maps costs O(n**2) gap steps.  A ``Pow``
+    raises the value of the factor before it by squaring, so a run of n
+    equal factors costs its factor's value twice (first and last copy) and
+    at most 2*ceil(log2 n) products more.  A pair that is the same two
+    objects as the pair before it in its round reuses that product, so a
+    repeated block of two literals (``m[;1]*m[1;]*m[;1]*m[1;]*...``, each
+    map read once by :func:`parse`) costs O(log n) products too.
     Recursion follows only parentheses, which the parser caps.
     """
     if isinstance(node, Lit):
@@ -337,7 +383,12 @@ def eval_expr(node):
         return v.inverse() if node.primes % 2 else v
     values, carriers = [], set()
     for term in node.factors:
-        v = term.value if type(term) is Lit else eval_expr(term)
+        if type(term) is Lit:
+            v = term.value
+        elif type(term) is Pow:  # v is the value of the factor it repeats
+            v = _power(v, term.count)
+        else:
+            v = eval_expr(term)
         if isinstance(v, (int, AdjoinedZero)):
             carriers.add(type(v))
             if len(carriers) == 2:
@@ -353,6 +404,20 @@ def eval_expr(node):
             paired.append(vw)
         values = paired + values[-1:] if len(values) % 2 else paired
     return values[0]
+
+
+def _power(v, n: int):
+    """The product of ``n`` copies of ``v``, by squaring: at most
+    2*floor(log2 n) products."""
+    mul = compose if type(v) is CofMap else _mul_values
+    acc = None
+    while True:
+        if n & 1:
+            acc = v if acc is None else mul(acc, v)
+        n >>= 1
+        if not n:
+            return acc
+        v = mul(v, v)
 
 
 def _promote(v):

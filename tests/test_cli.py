@@ -130,6 +130,19 @@ SYNTAX_ERRORS = [
     # a list's numbers are read before its order is checked
     (f"m[3,2,{BIG};]", f"{TOO_LONG} (at 6..5006)"),
     (f"m[3,2;{BIG}]", "gap entries must be strictly increasing, got (3, 2) (at 2..5)"),
+    # after a run of equal factors, which is read as one power: the error is
+    # where it is without runs
+    ("m[;1]'*m[;1]'*m[;1]'*m[3,2;]", "gap entries must be strictly increasing, got (3, 2) (at 23..26)"),
+    ("(m[;1]) * (m[;1]) * (m[;1]) * q", "expected an element, '(' or 'id' (at 30..31)"),
+    ("b[2,3]*b[2,3]*b[2,3]*b[1", "expected ',' (at 24..25)"),
+    ("z[2]\t*\nz[2]\t*\nz[2]\t*\nz[", "expected a number (at 23..24)"),
+    ("m[;1]*m[;1]*m[;1]*", "expected an element, '(' or 'id' (at 18..19)"),
+    ("(m[;1]*m[;1]*m[;1]*)", "expected an element, '(' or 'id' (at 19..20)"),
+    ("m[;1]*m[;1]*m[;1] )", "trailing input (at 18..19)"),
+    ("id*id*id id", "trailing input (at 9..11)"),
+    ("O*O*O*O'", "integers and the zero have no inverse (at 7..8)"),
+    ("(m[;1])*(m[;1])*(m[;1]", "expected ')' (at 22..23)"),
+    ("z[1]*z[1]*z[1]'", "integers and the zero have no inverse (at 14..15)"),
 ]
 
 
@@ -201,13 +214,15 @@ class TestParse:
 
     @settings(max_examples=500)
     @given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
-           st.sampled_from(("", "m[", "b[", "z[", "m[1,", "m[,", "m[1 ", "m[;1,", "m[\x1c")))
-    def test_only_parse_errors(self, text, head):
-        text = head + text
+           st.sampled_from(("", "m[", "b[", "z[", "m[1,", "m[,", "m[1 ", "m[;1,", "m[\x1c")),
+           st.integers(1, 4))
+    def test_only_parse_errors(self, text, head, copies):
+        text = "*".join([head + text] * copies)
         # every string either parses, and its value round-trips through the
         # printer, or raises ParseError with a span inside the text (an
         # error at the end points one past it); the head makes an element
-        # that goes wrong inside its brackets likely
+        # that goes wrong inside its brackets likely, and the copies make
+        # runs of equal factors, read as powers, before it
         try:
             node = parse(text)
         except ParseError as exc:
@@ -863,6 +878,10 @@ class TestEvalErrorSpans:
              "integers and the zero belong to different carriers (at 0..21)"),
             ("(z[1] * z[2]) ' '", "integers and the zero have no inverse (at 1..15)"),
             ("((z[1]*z[2])')'", "integers and the zero have no inverse (at 2..13)"),
+            # a run of equal factors meets a mismatch at its first copy
+            ("z[1]*z[1]*z[1]*O", "integers and the zero belong to different carriers (at 0..16)"),
+            ("O*O*z[1]", "integers and the zero belong to different carriers (at 0..8)"),
+            ("(z[1]*z[1])'*(z[1]*z[1])'*(z[1]*z[1])'", "integers and the zero have no inverse (at 1..12)"),
         ],
     )
     def test_first_error_left_to_right(self, text, message):
@@ -975,24 +994,49 @@ class TestRepeatedFactors:
         assert eval_expr(parse(text)) == want
 
     def test_a_run_of_equal_factors_takes_log_many_products(self, monkeypatch):
+        # every product, of maps or of other carriers, is counted; a run
+        # evaluates its factor at most twice (its first and last copy), and
+        # multiplies the copies in at most 2 * ceil(log2 n) products more
         calls = []
 
-        def counted(g, h):
-            calls.append(1)
-            return compose(g, h)
+        def counted(mul):
+            return lambda v, w: calls.append(1) or mul(v, w)
 
-        monkeypatch.setattr(cofmap.cli, "compose", counted)
-        for n in [*range(1, 301), 4096]:
+        monkeypatch.setattr(cofmap.cli, "compose", counted(compose))
+        monkeypatch.setattr(cofmap.cli, "_mul_values", counted(cofmap.cli._mul_values))
+        for factor in ("m[;1]", "m[;1]'", "(m[;1]*m[1;])", "(m[2;1])''", "b[2,3]", "z[2]", "O"):
             calls.clear()
-            got = eval_expr(parse("*".join(["m[;1]"] * n)))
-            assert got == CofMap((), tuple(range(1, n + 1)))
-            assert len(calls) <= 2 * (n - 1).bit_length()  # 2 * ceil(log2 n)
+            one = eval_expr(parse(factor))
+            own = len(calls)
+            folds = [one]  # the left fold of n copies, made here without the parser
+            while len(folds) < 4096:
+                folds.append(reference_mul(folds[-1], one))
+            for sep in ("*", " * ", "\t*\n"):
+                for n in [*range(1, 301), 4096]:
+                    calls.clear()
+                    assert eval_expr(parse(sep.join([factor] * n))) == folds[n - 1]
+                    assert len(calls) <= 2 * own + 2 * (n - 1).bit_length()  # 2 * ceil(log2 n)
+
+    @pytest.mark.parametrize("factor", ["m[;1]'", "(m[;1]*m[1;])"])
+    def test_three_thousand_copies_take_at_most_24_compositions(self, monkeypatch, factor):
+        calls = []
+        monkeypatch.setattr(cofmap.cli, "compose", lambda g, h: calls.append(1) or compose(g, h))
+        eval_expr(parse("*".join([factor] * 3000)))
+        assert len(calls) <= 24
 
     def test_a_repeated_literal_is_one_map_with_a_span_per_occurrence(self):
         node = parse("m[;1] * m[2;1]*m[;1]")
         first, _, third = node.factors
         assert first.value is third.value
         assert (first.span, third.span) == ((0, 5), (15, 20))
+
+    def test_a_run_is_its_first_factor_then_a_power(self):
+        # the copies after the first, each through its "*" and the
+        # whitespace after it, are one Pow; the last copy, with no "*"
+        # after it, is read as an ordinary term
+        first, power, last = parse("m[;1]' * m[;1]' * m[;1]' * m[;1]'").factors
+        assert (power.child, power.count, power.span) == (first, 2, (9, 27))
+        assert (first.span, last.span) == ((0, 6), (27, 33))
 
     def test_malformed_term_after_a_long_run_reports_its_span(self):
         text = "m[;1]*" * 1000 + "m[3,2;]"
