@@ -18,10 +18,11 @@ the gaps: ``solve_right``/``solve_left`` and the exact ``count`` take one
 ``compose`` and two binary searches a block, and list nothing; ``x in
 solutions`` is one ``compose``; iteration is lazy, walks listings of any
 depth with no recursion, and does O(n) work a solution when the blocks are
-few, O(n) a block at most.  It
-builds the solutions a chunk of ``CHUNK`` (1,024) at a time in C-level
-loops, with no Python call a solution, so taking the first builds one
-chunk at most.
+few, O(n) a block at most.  It builds the solutions a chunk at a time in
+C-level loops, with no Python call a solution, each chunk as many maps as
+fit in ``CHUNK_GAPS`` (2**16) image gaps, or one map.  So taking the first
+solution costs time and memory linear in the gaps, however many blocks
+there are.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     compose,
     invert,
     require_idempotent,
+    shift,
 )
 
 
@@ -95,19 +97,51 @@ def semilattice_iso(e: CofMap) -> tuple:
     return e.dom_gaps
 
 
-CHUNK = 1024  # maps a listing builds at a time
+CHUNK_GAPS = 2 ** 16  # image gap entries a listing builds at a time
 
 
-def _chunk(dom_gaps, rans):
-    # The maps with domain gaps dom_gaps and the next CHUNK image gap tuples
+def _chunk(dom_gaps, rans, size):
+    # The maps with domain gaps dom_gaps and the next size image gap tuples
     # of rans, [] past the last: _trusted's work, in C-level loops.  The
     # gap tuples come from the block walk, valid by construction.  The slot
     # setters return None, so any() runs each map to its end.
-    rans = list(islice(rans, CHUNK))
+    rans = list(islice(rans, size))
     maps = list(map(object.__new__, repeat(CofMap, len(rans))))
     any(map(_set_dom, maps, repeat(dom_gaps)))
     any(map(_set_ran, maps, rans))
     return maps
+
+
+def _choices(free, keep, required, tail):
+    # a level's image gaps in lexicographic order: keep of its free slots,
+    # sorted in with its required gaps, then its fixed gaps after
+    kept = combinations(free, keep)
+    if required:
+        kept = map(tuple, map(sorted, map(add, kept, repeat(required))))
+    if tail:
+        kept = map(add, kept, repeat(tail))
+    return kept
+
+
+def _joined(levels, head):
+    # For each choice of the levels above the last, in lexicographic order,
+    # a C-level iterator over the last level's choices, each joined to head
+    # and that choice.  A stack of choice iterators walks the upper levels
+    # over one list, and one prefix tuple is frozen for each choice of them,
+    # so memory stays linear in the gaps however many levels there are.
+    upper, last = len(levels) - 1, levels[-1]
+    out, starts, stack = list(head), [len(head)], [_choices(*levels[0])]
+    while stack:
+        for choice in stack[-1]:
+            out[starts[-1]:] = choice
+            if len(stack) < upper:
+                starts.append(len(out))
+                stack.append(_choices(*levels[len(stack)]))
+                break
+            yield map(tuple(out).__add__, _choices(*last))
+        else:
+            stack.pop()
+            starts.pop()
 
 
 class SolutionSet:
@@ -122,8 +156,8 @@ class SolutionSet:
       ``sys.maxsize``;
     - ``x in s`` is one composition;
     - iteration yields the solutions in lexicographic order of their
-      gap-set pairs, at most one ``CHUNK`` ahead of the consumer; the set
-      may be empty.
+      gap-set pairs, at most one chunk of ``CHUNK_GAPS`` image gaps ahead
+      of the consumer; the set may be empty.
 
     Two sets are equal when they solve the same equation, since the
     equation fixes the members.  The ``solutions`` alias (the set itself)
@@ -209,31 +243,40 @@ class SolutionSet:
             return iter(())
         dom, of, sizes = self._walk
         walk = _ordered_subsets(dom, of, [len(free) for _, free, _ in self._blocks])
-        return chain.from_iterable(map(self._built, walk, repeat(dict(zip(dom, of))), repeat(sizes)))
+        grow = shift(self.target) - shift(self.factor)  # image less domain gaps of each solution
+        return chain.from_iterable(map(self._built, walk, repeat(dict(zip(dom, of))), repeat(sizes),
+                                       repeat(grow)))
 
-    def _built(self, dom_gaps, block, sizes):
+    def _built(self, dom_gaps, block, sizes, grow):
         # the maps with domain gaps dom_gaps: their first chunk now, the rest
-        # a chunk at a time as the listing reaches them.  ks[j] counts the
-        # points of block j that they leave out: its size less those taken.
+        # a chunk at a time as the listing reaches them, each chunk at most
+        # CHUNK_GAPS image gaps in all (one map if it has more).  ks[j] counts
+        # the points of block j that they leave out: its size less those taken.
         ks = list(sizes)
         for j in map(block.__getitem__, dom_gaps):
             ks[j] -= 1
-        levels, prefix = self._rans(ks)
+        levels, head = self._rans(ks)
         if not levels:  # one image
-            return (_trusted(dom_gaps, prefix),)
-        rans = self._kept(levels, 0, prefix)
-        maps = _chunk(dom_gaps, rans)
-        if len(maps) < CHUNK:
+            return (_trusted(dom_gaps, head),)
+        if len(levels) > 1:
+            rans = chain.from_iterable(_joined(levels, head))
+        elif head:
+            rans = map(head.__add__, _choices(*levels[0]))
+        else:  # the empty prefix joins nothing
+            rans = _choices(*levels[0])
+        size = CHUNK_GAPS // (len(dom_gaps) + grow) or 1
+        maps = _chunk(dom_gaps, rans, size)
+        if len(maps) < size:
             return maps
-        return chain(maps, chain.from_iterable(iter(partial(_chunk, dom_gaps, rans), [])))
+        return chain(maps, chain.from_iterable(iter(partial(_chunk, dom_gaps, rans, size), [])))
 
     def _rans(self, ks):
-        # (levels, prefix) for the image gaps of the solutions whose blocks
+        # (levels, head) for the image gaps of the solutions whose blocks
         # leave out ks: block i keeps all but ks[i] of its free slots, and
-        # _kept lists them in lexicographic order.  A block with one way to
+        # _joined lists them in lexicographic order.  A block with one way to
         # keep them joins the fixed gaps around it, so that every level of
         # the walk has two choices or more and a solution costs O(gaps),
-        # however many blocks there are; with no level, prefix is the one
+        # however many blocks there are; with no level, head is the one
         # image.  The fixed gaps gather in a list a level, frozen once, so a
         # domain group costs O(blocks + gaps) in copying.
         levels = []  # [free slots, how many to keep, required gaps, fixed gaps after]
@@ -250,18 +293,6 @@ class SolutionSet:
         for level in levels:
             level[3] = tuple(level[3])
         return levels, tuple(head)
-
-    def _kept(self, levels, i, prefix):
-        free, keep, required, tail = levels[i]
-        kept = combinations(free, keep)
-        if required:
-            kept = map(tuple, map(sorted, map(add, kept, repeat(required))))
-        if tail:
-            kept = map(add, kept, repeat(tail))
-        if i + 1 == len(levels):
-            return map(prefix.__add__, kept)
-        deeper = map(self._kept, repeat(levels), repeat(i + 1), map(prefix.__add__, kept))
-        return chain.from_iterable(deeper)
 
     def __eq__(self, other):
         if not isinstance(other, SolutionSet):

@@ -316,8 +316,9 @@ def _(rng, cases):
 
 @check("translation equations match exhaustive search")
 def _(rng, cases):
-    # factor/target gaps within [1,4], at most 2 per side: every solution
-    # then provably has its gaps within [1,6], so the universe is covering
+    # factor gaps within [1,4], at most 2 per side, and target gaps within
+    # [1,4]: every solution then has its gaps within [1,6] (checked over all
+    # such pairs), so the universe is covering
     universe = all_cofmaps(6)
 
     @functools.cache
@@ -325,14 +326,21 @@ def _(rng, cases):
         """Every map x of the universe, filed under a*x (right) or x*a (left)."""
         table = {}
         for x in universe:
-            table.setdefault(compose(a, x) if side == "right" else compose(x, a), set()).add(x)
+            table.setdefault(compose(a, x) if side == "right" else compose(x, a), []).append(x)
         return table
 
     for _ in range(max(1, cases // 30)):
         a = random_cofmap(rng, max_gap=4, max_size=2)
-        b = random_cofmap(rng, max_gap=4, max_size=2)
-        yield set(solve_right(a, b)) == by_product("right", a).get(b, set())
-        yield set(solve_left(a, b)) == by_product("left", a).get(b, set())
+        for side, solve in (("right", solve_right), ("left", solve_left)):
+            b = random_cofmap(rng, max_gap=4, max_size=2)
+            if rng.random() < 0.75:  # a product, whose set is not empty and often has several members
+                x = random_cofmap(rng, max_gap=4, max_size=2)
+                product = compose(a, x) if side == "right" else compose(x, a)
+                if max(product.dom_gaps + product.ran_gaps, default=0) <= 4:
+                    b = product
+            want = sorted(by_product(side, a).get(b, ()), key=lambda m: (m.dom_gaps, m.ran_gaps))
+            sols = solve(a, b)
+            yield list(sols) == want and sols.count == len(want)
 
 
 @check("bicyclic product matches word rewriting")

@@ -12,6 +12,7 @@ import pytest
 
 import cofmap.selftest
 from cofmap import CofMap, compose, evaluate, in_adj_nbhd, shift
+from cofmap.green import SolutionSet
 from cofmap.selftest import CHECKS, rng_for
 
 SEED = 1
@@ -43,6 +44,16 @@ def _in_adj_nbhd_admitting_wide_maps(x, anchor, elem):
     return wide or in_adj_nbhd(x, anchor, elem)
 
 
+class _DroppingLast(SolutionSet):
+    # lists all but the last solution of a set with two or more; count and
+    # membership stay right
+    __slots__ = ()
+
+    def __iter__(self):
+        sols = list(super().__iter__())
+        return iter(sols[:-1] if len(sols) > 1 else sols)
+
+
 MUTANTS = [
     ("compose", _compose_dropping_last_gaps, "compose agrees with pointwise composition"),
     ("evaluate", _evaluate_off_by_one, "shift is additive and the tail law holds"),
@@ -51,6 +62,7 @@ MUTANTS = [
     ("canonical_leq", lambda a, b: shift(a) == shift(b),
      "canonical order implies equal shift and pointwise restriction"),
     ("in_adj_nbhd", _in_adj_nbhd_admitting_wide_maps, "neighborhood bases filter correctly"),
+    ("solve_left", lambda a, b: _DroppingLast("left", a, b), "translation equations match exhaustive search"),
 ]
 
 

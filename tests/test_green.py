@@ -1,9 +1,11 @@
 """Green's relations, structural witnesses, and the translation solver."""
 
+import functools
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice
-from math import comb
+from math import ceil, comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from cofmap import (
     solve_left,
     solve_right,
 )
-from cofmap.green import CHUNK
+import cofmap.green as green
 from cofmap.selftest import all_gapsets
 
 UP = CofMap((), (1,))
@@ -242,6 +244,27 @@ def segment(n):
     return tuple(range(1, n + 1))
 
 
+def most_chunks(listing):
+    """The most chunks that one domain group of ``listing`` fills under
+    ``green.CHUNK_GAPS``: a chunk holds as many maps as fit in the budget
+    of image gaps, or one map.  Every map of a group has as many image gaps,
+    and a group of maps with none has one map."""
+    groups = Counter(x.dom_gaps for x in listing)
+    gaps = {x.dom_gaps: max(len(x.ran_gaps), 1) for x in listing}
+    return max(ceil(n / (green.CHUNK_GAPS // gaps[d] or 1)) for d, n in groups.items())
+
+
+def deep_equation(n, side):
+    """An equation whose first domain group leaves each of n blocks partial:
+    it keeps one of two free slots (right, ``m[;2,4,…,2n] * x ==
+    m[;1,2,4,5,…,3n+1,3n+2]``), or one of two free points (left, ``x *
+    m[2,3,5,6,…,3n-1,3n;] == m[2,4,…,2n;]``)."""
+    evens = tuple(range(2, 2 * n + 1, 2))
+    if side == "right":
+        return CofMap((), evens), CofMap((), tuple(p for k in range(n + 1) for p in (3 * k + 1, 3 * k + 2)))
+    return CofMap(tuple(p for k in range(n) for p in (3 * k + 2, 3 * k + 3)), ()), CofMap(evens, ())
+
+
 def standard_solutions(p, q, side):
     """The solutions of ``m[;1..p] * x == m[;1..q]`` from the closed form,
     with no call to the solver: ``m[D;R]`` for ``D`` in [p] and ``R`` in [q]
@@ -253,6 +276,24 @@ def standard_solutions(p, q, side):
     if side == "left":
         pairs = [(r, d) for d, r in pairs]
     return [CofMap(d, r) for d, r in sorted(pairs)]
+
+
+# (side, factor, target) whose listings have a domain group that leaves 3
+# blocks partial, each keeping some but not all of its free slots (right) or
+# free points (left); every gap of the equations and their solutions is at
+# most 8, so the brute-force universe [1,8] covers them
+MANY_LEVELS = [
+    ("right", CofMap((2,), (1, 3, 5)), CofMap((2,), (1, 2, 4, 5, 7, 8))),
+    ("right", CofMap((), (1, 3, 4, 6)), CofMap((3,), (1, 2, 4, 5, 7, 8))),
+    ("right", CofMap((1, 6), (1, 3, 4, 7)), CofMap((1, 4, 6), (1, 2, 4, 5, 7, 8))),
+    ("left", CofMap((1, 2, 4, 5, 7, 8), (5,)), CofMap((1, 2, 4, 6, 7, 8), (5,))),
+    ("left", CofMap((1, 2, 4, 5, 7, 8), (3, 5)), CofMap((1, 2, 3, 5, 7, 8), (3, 5))),
+]
+
+
+@functools.cache
+def exhaustive(side, a, b):
+    return brute_solutions(a, b, 8, side)
 
 
 class TestSolutionSet:
@@ -274,6 +315,35 @@ class TestSolutionSet:
             for r in subs:
                 x = CofMap(d, r)
                 assert (x in sols) == (x in members)
+
+    # under a budget of 8 image gaps a chunk holds at most two of these maps,
+    # so a domain group with three partial levels fills several chunks
+    @pytest.mark.parametrize("budget", [green.CHUNK_GAPS, 8])
+    @pytest.mark.parametrize("side, a, b", MANY_LEVELS)
+    def test_many_levels_match_exhaustive(self, monkeypatch, side, a, b, budget):
+        monkeypatch.setattr(green, "CHUNK_GAPS", budget)
+        sols = solve_right(a, b) if side == "right" else solve_left(a, b)
+        want = exhaustive(side, a, b)
+        assert list(sols) == want
+        assert sols.count == len(want)
+        if budget == 8:
+            assert most_chunks(want) > 1
+
+    # n = 40: 2**40 members share the first domain group
+    @pytest.mark.parametrize("budget", [green.CHUNK_GAPS, 100])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_many_levels_list_in_order(self, monkeypatch, side, budget):
+        monkeypatch.setattr(green, "CHUNK_GAPS", budget)
+        a, b = deep_equation(40, side)
+        sols = solve_right(a, b) if side == "right" else solve_left(a, b)
+        head = list(islice(sols, 3000))
+        keys = [(x.dom_gaps, x.ran_gaps) for x in head]
+        assert len(head) == 3000 and len(set(x.dom_gaps for x in head)) == 1
+        assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+        if side == "right":
+            assert all(compose(a, x) == b for x in head)
+        else:
+            assert all(compose(x, a) == b for x in head)
 
     def test_far_gap_costs_nothing(self):
         far = CofMap((), (10**9,))
@@ -317,35 +387,49 @@ class TestSolutionSet:
     def test_repr(self):
         assert repr(solve_right(UP, UP)) == "SolutionSet('right', CofMap([], [1]), CofMap([], [1]), count=2)"
 
-    # 1,716 solutions, or 27,132 with 1,716 of them sharing m[;1..6]'s domain
+    # 1,716 solutions, or 27,132 with 1,716 of them sharing m[;1..6]'s
+    # domain; under a budget of 32 image gaps their largest domain groups
+    # fill several chunks
     @pytest.mark.parametrize("p, q", [(6, 7), (7, 6), (6, 13)])
     @pytest.mark.parametrize("side", ["right", "left"])
-    def test_listing_past_one_chunk_matches_closed_form(self, side, p, q):
+    def test_listing_past_one_chunk_matches_closed_form(self, monkeypatch, side, p, q):
+        monkeypatch.setattr(green, "CHUNK_GAPS", 32)
         if side == "right":
             sols = solve_right(CofMap((), segment(p)), CofMap((), segment(q)))
         else:
             sols = solve_left(CofMap(segment(p), ()), CofMap(segment(q), ()))
         want = standard_solutions(p, q, side)
-        assert len(want) == comb(p + q, p) > CHUNK
+        assert len(want) == comb(p + q, p)
+        assert most_chunks(want) > 1
         assert list(sols) == want
         assert sols.count == len(want)
 
-    def test_iterators_over_one_set_are_independent(self):
+    def test_iterators_over_one_set_are_independent(self, monkeypatch):
+        monkeypatch.setattr(green, "CHUNK_GAPS", 32)
         sols = solve_right(CofMap((), segment(6)), CofMap((), segment(7)))
         first, second = iter(sols), iter(sols)
         pairs = list(zip(first, second))  # advanced in turn
-        assert len(pairs) == sols.count > CHUNK
+        assert len(pairs) == sols.count
+        assert most_chunks([x for x, _ in pairs]) > 1
         assert all(x == y for x, y in pairs)
         assert [x for x, _ in pairs] == list(sols)
 
-    def test_listing_past_one_chunk_of_a_huge_set(self):
-        a = b = CofMap((), segment(40))
-        sols = solve_right(a, b)
-        head = list(islice(sols, 2500))
-        keys = [(x.dom_gaps, x.ran_gaps) for x in head]
-        assert len(head) == 2500
-        assert all(k < k_next for k, k_next in zip(keys, keys[1:]))  # increasing, so distinct
-        assert all(compose(a, x) == b for x in head)
+    def test_listing_past_one_chunk_of_a_huge_set(self, monkeypatch):
+        # The first 2,500 members of m[;1..40] against itself lie in domain
+        # groups of at most 780 maps with 2 image gaps, several chunks under
+        # a budget of 1,024 gaps.  m[;1..10] * x == m[;1..40] has a first
+        # domain group of C(40, 30) maps with 30 image gaps, several chunks
+        # under the default budget.
+        for p, budget in [(40, 1024), (10, green.CHUNK_GAPS)]:
+            monkeypatch.setattr(green, "CHUNK_GAPS", budget)
+            a, b = CofMap((), segment(p)), CofMap((), segment(40))
+            sols = solve_right(a, b)
+            head = list(islice(sols, 2500))
+            keys = [(x.dom_gaps, x.ran_gaps) for x in head]
+            assert len(head) == 2500
+            assert most_chunks(head) > 1
+            assert all(k < k_next for k, k_next in zip(keys, keys[1:]))  # increasing, so distinct
+            assert all(compose(a, x) == b for x in head)
 
     def test_listing_past_a_thousand_blocks_matches_closed_form(self):
         # x * m[;E] == m[;E] for E = (2, 4, ..., 3000): 1,500 blocks of one
@@ -355,6 +439,25 @@ class TestSolutionSet:
         a = CofMap((), evens)
         assert list(islice(solve_right(a, a), 1200)) == want
         assert list(islice(solve_left(invert(a), invert(a)), 1200)) == want
+
+    # the inverted mirror lists by the right side's image gaps first, so its
+    # first domain group has one member; the left family's first leaves all
+    # 5,000 blocks partial, as the right family's does
+    @pytest.mark.parametrize("side, a, b", [
+        ("right", *deep_equation(5000, "right")),
+        ("left", *map(invert, deep_equation(5000, "right"))),
+        ("left", *deep_equation(5000, "left")),
+    ])
+    def test_first_solution_costs_memory_linear_in_the_levels(self, side, a, b):
+        sols = solve_right(a, b) if side == "right" else solve_left(a, b)
+        tracemalloc.start()
+        try:
+            first = next(iter(sols))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (compose(a, first) if side == "right" else compose(first, a)) == b
+        assert peak < 10 * 2 ** 20
 
     def test_construction_memory_is_linear_in_blocks(self):
         a = CofMap((), tuple(range(2, 10001, 2)))  # 5,000 blocks
