@@ -22,12 +22,10 @@ lists with ``str`` methods, so its cost follows the number of terms and gaps,
 with no Python step per character, prime or number.  A run of equal factors
 (the same text, such as ``m[;1]' * m[;1]' * ...`` or ``(a*b)*(a*b)*...``) is
 read as its first factor and a power, in O(log n) C-level ``startswith``
-calls.  A map written more than once in one expression is converted and
-checked once.  Only a term that does not read is read again, a step at a
-time, to place its error.  Evaluation raises a power by squaring and
-multiplies a product chain pairwise, reusing a product where a pair repeats
-the one before it, so a run of n equal factors, or of a repeated block of
-two literals, costs O(log n) products, not n - 1.
+calls.  Only a term that does not read is read again, a step at a time, to
+place its error.  Evaluation multiplies a product chain pairwise, round by
+round, and raises a power by squaring, so a run of n equal factors costs
+O(log n) products, not n - 1.
 
 Mixed carriers: bicyclic operands are promoted to maps when multiplied
 with maps; integers absorb maps through the shift homomorphism; the zero
@@ -172,9 +170,7 @@ def parse(text: str):
 
     Each term is one match of ``_TERM`` and each run of primes with the
     operator after it one match of ``_AFTER``; the parentheses open around
-    the current product are kept on a stack, so nothing recurses.  A map's
-    bracket text is read once a call: every later occurrence of the same
-    text holds the same (immutable) map, in a node with its own span.
+    the current product are kept on a stack, so nothing recurses.
 
     A term followed by ``*`` is checked for copies: its text from its start
     through the ``*`` and the whitespace after it, repeated back to back.
@@ -187,7 +183,6 @@ def parse(text: str):
     term, after, startswith = _TERM.match, _AFTER.match, text.startswith
     outer = []  # the factors and "(" position of each enclosing product, innermost last
     factors = []  # the factors of the current product
-    maps = {}  # bracket text -> its map, so a repeated literal is read once
     pos = 0
     while True:
         # a term: an element or "("
@@ -197,14 +192,11 @@ def parse(text: str):
         start, pos = tok.span(1)
         head = text[start]
         if head == "m":
-            inner = tok[2]
-            g = maps.get(inner)
-            if g is None:
-                try:
-                    dom, ran = inner.split(";")
-                    g = maps[inner] = _trusted(_gap_list(dom), _gap_list(ran))
-                except ValueError:  # not one ";", or a list that is not a gap set
-                    _malformed(text, start)
+            try:
+                dom, ran = tok[2].split(";")
+                g = _trusted(_gap_list(dom), _gap_list(ran))
+            except ValueError:  # not one ";", or a list that is not a gap set
+                _malformed(text, start)
             node = Lit(g, (start, pos))
         elif head == "b":
             node = Lit(Bicyclic(_number(tok, 3), _number(tok, 4)), (start, pos))
@@ -366,11 +358,8 @@ def eval_expr(node):
     and a left fold of n one-gap maps costs O(n**2) gap steps.  A ``Pow``
     raises the value of the factor before it by squaring, so a run of n
     equal factors costs its factor's value twice (first and last copy) and
-    at most 2*ceil(log2 n) products more.  A pair that is the same two
-    objects as the pair before it in its round reuses that product, so a
-    repeated block of two literals (``m[;1]*m[1;]*m[;1]*m[1;]*...``, each
-    map read once by :func:`parse`) costs O(log n) products too.
-    Recursion follows only parentheses, which the parser caps.
+    at most 2*ceil(log2 n) products more.  Recursion follows only
+    parentheses, which the parser caps.
     """
     if isinstance(node, Lit):
         return node.value
@@ -396,12 +385,8 @@ def eval_expr(node):
                                     (node.span[0], term.span[1]))
         values.append(v)
     while len(values) > 1:
-        paired, last_v, last_w = [], None, None
-        for v, w in zip(values[::2], values[1::2]):
-            if v is not last_v or w is not last_w:
-                last_v, last_w = v, w
-                vw = compose(v, w) if type(v) is CofMap and type(w) is CofMap else _mul_values(v, w)
-            paired.append(vw)
+        paired = [compose(v, w) if type(v) is CofMap and type(w) is CofMap else _mul_values(v, w)
+                  for v, w in zip(values[::2], values[1::2])]
         values = paired + values[-1:] if len(values) % 2 else paired
     return values[0]
 
@@ -793,6 +778,9 @@ def main(argv=None) -> int:
         if str(exc).startswith("Exceeds the limit"):  # str() or json.dumps of a too long int
             exc = f"result has a number with more than {sys.get_int_max_str_digits()} digits"
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     try:
         print(output)

@@ -37,6 +37,7 @@ from .bicyclic import (
     tail_projection,
 )
 from .core import (
+    IDENTITY,
     CofMap,
     canonical_leq,
     compose,
@@ -207,6 +208,15 @@ def _(rng, cases):
         ef = compose(e, f)
         yield ef == compose(f, e) and is_idempotent(ef)
         yield set(ef.dom_gaps) == set(e.dom_gaps) | set(f.dom_gaps)
+        # is_idempotent is "the identity on its domain", asked of g and of a
+        # near-idempotent: e with one image gap other than its least moved to
+        # a free point above the least
+        yield is_idempotent(g) == restricts(g, IDENTITY)
+        if len(e.ran_gaps) > 1:
+            gone = rng.choice(e.ran_gaps[1:])
+            new = rng.choice([x for x in range(e.ran_gaps[0] + 1, 41) if x not in e.ran_gaps])
+            near = CofMap(e.dom_gaps, sorted({*e.ran_gaps, new} - {gone}))
+            yield is_idempotent(near) == restricts(near, IDENTITY)
 
 
 @check("shift is additive and the tail law holds")
@@ -390,6 +400,11 @@ def _(rng, cases):
         yield compose(e, eps) == eps and as_bicyclic(eps) is not None and natural_leq(eps, e)
         psi = tail_identity(len(eps.dom_gaps) + 1 + rng.randint(0, 5))
         yield natural_leq(psi, eps) and as_bicyclic(compose(psi, eps)) is not None
+        # tail_identity(k) fixes each point from k on and is undefined below
+        k = rng.randint(1, 12)
+        t = tail_identity(k)
+        rows = two_row(t.dom_gaps, t.ran_gaps)
+        yield all(rows.get(x) == (x if x >= k else None) for x in range(1, 201))
 
 
 @check("conjugates of the tail idempotent stay standard")
@@ -446,6 +461,11 @@ def _(rng, cases):
         yield not in_zero_nbhd(i + 1, g) or in_zero_nbhd(i, g)
         yield in_zero_nbhd(i, g) == in_zero_nbhd(i, invert(g))
         yield not (in_zero_nbhd(i, g) and in_zero_nbhd(i, h)) or in_zero_nbhd(i, compose(g, h))
+        # the definition: g's window misses at least i points on each side
+        rows = two_row(g.dom_gaps, g.ran_gaps)
+        image = set(rows.values())
+        missed = min(sum(x not in rows for x in range(1, 101)), sum(y not in image for y in range(1, 101)))
+        yield in_zero_nbhd(i, g) == (missed >= i)
         elem = random_cofmap(rng)
         # in a third of the draws elem extends the anchor, a restriction of it
         anchor = compose(random_idempotent(rng), elem) if rng.randrange(3) == 0 else random_cofmap(rng)

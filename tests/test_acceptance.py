@@ -11,7 +11,7 @@ default ``cofmap selftest`` settings.
 import pytest
 
 import cofmap.selftest
-from cofmap import CofMap, compose, evaluate, in_adj_nbhd, shift
+from cofmap import CofMap, compose, evaluate, in_adj_nbhd, in_zero_nbhd, shift, tail_identity
 from cofmap.green import SolutionSet
 from cofmap.selftest import CHECKS, rng_for
 
@@ -63,6 +63,10 @@ MUTANTS = [
      "canonical order implies equal shift and pointwise restriction"),
     ("in_adj_nbhd", _in_adj_nbhd_admitting_wide_maps, "neighborhood bases filter correctly"),
     ("solve_left", lambda a, b: _DroppingLast("left", a, b), "translation equations match exhaustive search"),
+    ("is_idempotent", lambda g: len(g.dom_gaps) == len(g.ran_gaps) and g.dom_gaps[:1] == g.ran_gaps[:1],
+     "inverse axioms and commuting idempotents"),
+    ("tail_identity", lambda k: tail_identity(k + 1 if k > 3 else k), "absorbing and dominated standard idempotents"),
+    ("in_zero_nbhd", lambda i, x: in_zero_nbhd(i - 1 if i > 2 else i, x), "neighborhood bases filter correctly"),
 ]
 
 

@@ -540,6 +540,14 @@ class TestIO:
             assert proc.wait(timeout=60) == 1
         assert err == b""
 
+    def test_out_of_memory_exits_1_with_no_traceback(self, capsys, monkeypatch):
+        def exhausted(node):
+            raise MemoryError
+
+        monkeypatch.setattr(cofmap.cli, "eval_expr", exhausted)
+        assert main(["eval", "m[;1]"]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
     def test_selftest_smoke(self, capsys):
         assert main(["selftest", "--cases", "40", "--seed", "3"]) == 0
         out = capsys.readouterr().out
@@ -1027,7 +1035,7 @@ class TestRepeatedFactors:
     def test_a_repeated_literal_is_one_map_with_a_span_per_occurrence(self):
         node = parse("m[;1] * m[2;1]*m[;1]")
         first, _, third = node.factors
-        assert first.value is third.value
+        assert first.value == third.value
         assert (first.span, third.span) == ((0, 5), (15, 20))
 
     def test_a_run_is_its_first_factor_then_a_power(self):
