@@ -8,15 +8,13 @@ so the pair of gap sets is a complete canonical description and everything
 here is exact integer arithmetic on short sorted tuples.
 
 Costs, for maps with n gaps in all: ``canonical_leq`` takes one pass over
-the sorted gap tuples, O(n).  The first ``evaluate`` (``preimage``) on a
-map bisects its image (domain) gaps in Python, O(log n) steps; the second
-builds a rank index of that side, O(n) in C, and every later query takes
-two C-level bisections, O(log n).  ``compose`` takes one pass, unless one
-factor has far more gaps than the other: for s and n gaps, s <= n, it then
-takes about s log n Python steps plus O(n) C-level copying.  Costs follow
-the number of gaps, never their values: the initial segments {1..k} that
-tail identities and the standard copy need are capped at ``MAX_SEGMENT``
-points.
+the sorted gap tuples, O(n).  The costs of ``evaluate`` and ``preimage``
+follow the rank index policy in :class:`CofMap`'s docstring.  ``compose``
+takes one pass, unless one factor has far more gaps than the other: for s
+and n gaps, s <= n, it then takes about s log n Python steps plus O(n)
+C-level copying.  Costs follow the number of gaps, never their values:
+the initial segments {1..k} that tail identities and the standard copy
+need are capped at ``MAX_SEGMENT`` points.
 
 Composition is written left to right: ``compose(g, h)`` is ``x -> h(g(x))``
 (apply ``g`` first).  The ``*`` operator on :class:`CofMap` follows the
@@ -26,6 +24,7 @@ same convention.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import islice, repeat
 from operator import sub
 
 GapSet = tuple  # strictly increasing tuple of positive ints
@@ -54,6 +53,18 @@ def _trusted(dom_gaps: GapSet, ran_gaps: GapSet) -> CofMap:
     return g
 
 
+def _trusted_chunk(dom_gaps: GapSet, rans, size: int) -> list[CofMap]:
+    # _trusted in bulk: the maps with domain gaps dom_gaps and the next size
+    # image gap tuples of the iterator rans, [] past its end, built in
+    # C-level loops.  The slot setters return None, so any() runs each map
+    # to its end.
+    rans = list(islice(rans, size))
+    maps = list(map(object.__new__, repeat(CofMap, len(rans))))
+    any(map(_set_dom, maps, repeat(dom_gaps)))
+    any(map(_set_ran, maps, rans))
+    return maps
+
+
 class CofMap:
     """A cofinite monotone partial bijection of {1, 2, 3, ...}.
 
@@ -65,11 +76,13 @@ class CofMap:
 
     One private slot, empty until the map answers a point query, caches a
     rank index per side, ``gaps[i] - i`` as a list.  The first ``preimage``
-    (domain side) or ``evaluate`` (image side) on a map only marks its
-    side, so a one-off query builds nothing; the second builds that side's
-    index.  The index is derived from the gaps and invisible: equality,
-    hashing, pickling and ``repr`` read only the gap tuples, and ``invert``
-    does not carry it over.
+    (domain side) or ``evaluate`` (image side) on a map bisects that side's
+    gaps in Python, O(log n) steps for n gaps, and only marks the side, so
+    a one-off query builds nothing; the second builds that side's index,
+    O(n) in C; every later query takes two C-level bisections, O(log n).
+    The index is derived from the gaps and invisible: equality, hashing,
+    pickling and ``repr`` read only the gap tuples, and ``invert`` does not
+    carry it over.
     """
 
     __slots__ = ("dom_gaps", "ran_gaps", "_index")
@@ -118,9 +131,10 @@ def _unrank(gaps: GapSet, r: int, lo: int = 0) -> int:
     # number of gaps below it.  gaps[i] lies below it iff gaps[i] - i <= r,
     # and gaps[i] - i is nondecreasing, so that number is a binary search,
     # started at `lo` by a caller that knows gaps[:lo] all lie below.  It
-    # answers the first point query on a side, and the skewed compose path
-    # and the solver search with it from a lower bound on maps they see
-    # once: where a rank index would not pay.
+    # answers the first point query on a side and the two-row preview's
+    # points, and the skewed compose path and the solver search with it
+    # from a lower bound on maps they see once: where a rank index would
+    # not pay.
     hi = len(gaps)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -131,32 +145,14 @@ def _unrank(gaps: GapSet, r: int, lo: int = 0) -> int:
     return r + lo
 
 
-def _unindexed(index: list, side: int, gaps: GapSet, r: int) -> int:
-    # The r-th integer outside `gaps`, a map's domain (side 0) or image
-    # (side 1) gaps, whose `index` holds no rank index for that side yet:
-    # the first query bisects in Python and marks the side, the second
-    # builds the side's index, gaps[i] - i in C.  That list is
-    # nondecreasing, and the answer is r plus the number of its entries
-    # <= r.
-    if index[side] is None:
-        index[side] = True
-        return _unrank(gaps, r)
-    index[side] = ranks = list(map(sub, gaps, range(len(gaps))))
-    return r + bisect_right(ranks, r)
-
-
-def evaluate(g: CofMap, n: int) -> int | None:
-    """Image of ``n`` under ``g``, or None when ``n`` is a domain gap.
-
-    The first call on ``g`` bisects its image gaps in Python, O(log n)
-    steps; the second builds their rank index, in C and in time linear in
-    the image gaps; every call then takes two C-level bisections.
-    """
+def _query(g: CofMap, n: int, near: GapSet, far: GapSet, side: int) -> int | None:
+    # The point outside `far` whose rank equals n's rank outside `near`, or
+    # None when n is in `near`: an image for (dom, ran, side 1), a preimage
+    # for (ran, dom, side 0).  The index policy is in CofMap's docstring.
     if n < 1:
         raise ValueError("maps act on positive integers")
-    dom = g.dom_gaps
-    k = bisect_right(dom, n)
-    if k and dom[k - 1] == n:
+    k = bisect_right(near, n)
+    if k and near[k - 1] == n:
         return None
     r = n - k
     try:
@@ -164,35 +160,29 @@ def evaluate(g: CofMap, n: int) -> int | None:
     except AttributeError:  # the first query on g
         index = [None, None]
         _set_index(g, index)
-    ranks = index[1]
+    ranks = index[side]
     if ranks.__class__ is not list:
-        return _unindexed(index, 1, g.ran_gaps, r)
+        if ranks is None:  # the first query on this side
+            index[side] = True
+            return _unrank(far, r)
+        index[side] = ranks = list(map(sub, far, range(len(far))))
     return r + bisect_right(ranks, r)
+
+
+def evaluate(g: CofMap, n: int) -> int | None:
+    """Image of ``n`` under ``g``, or None when ``n`` is a domain gap.
+
+    Costs follow the index policy in :class:`CofMap`'s docstring.
+    """
+    return _query(g, n, g.dom_gaps, g.ran_gaps, 1)
 
 
 def preimage(g: CofMap, v: int) -> int | None:
     """Unique ``x`` with ``evaluate(g, x) == v``, or None when ``v`` is missed.
 
-    The first call on ``g`` bisects its domain gaps in Python, O(log n)
-    steps; the second builds their rank index, in C and in time linear in
-    the domain gaps; every call then takes two C-level bisections.
+    Costs follow the index policy in :class:`CofMap`'s docstring.
     """
-    if v < 1:
-        raise ValueError("maps act on positive integers")
-    ran = g.ran_gaps
-    k = bisect_right(ran, v)
-    if k and ran[k - 1] == v:
-        return None
-    r = v - k
-    try:
-        index = g._index
-    except AttributeError:  # the first query on g
-        index = [None, None]
-        _set_index(g, index)
-    ranks = index[0]
-    if ranks.__class__ is not list:
-        return _unindexed(index, 0, g.dom_gaps, r)
-    return r + bisect_right(ranks, r)
+    return _query(g, v, g.ran_gaps, g.dom_gaps, 0)
 
 
 def _pull(points: GapSet, skip: GapSet, gaps: GapSet) -> list[int]:

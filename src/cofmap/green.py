@@ -28,16 +28,15 @@ there are.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import add
 
 from .core import (
     CofMap,
     _ordered_subsets,
-    _set_dom,
-    _set_ran,
     _trusted,
+    _trusted_chunk,
     _unrank,
     compose,
     invert,
@@ -98,18 +97,6 @@ def semilattice_iso(e: CofMap) -> tuple:
 
 
 CHUNK_GAPS = 2 ** 16  # image gap entries a listing builds at a time
-
-
-def _chunk(dom_gaps, rans, size):
-    # The maps with domain gaps dom_gaps and the next size image gap tuples
-    # of rans, [] past the last: _trusted's work, in C-level loops.  The
-    # gap tuples come from the block walk, valid by construction.  The slot
-    # setters return None, so any() runs each map to its end.
-    rans = list(islice(rans, size))
-    maps = list(map(object.__new__, repeat(CofMap, len(rans))))
-    any(map(_set_dom, maps, repeat(dom_gaps)))
-    any(map(_set_ran, maps, rans))
-    return maps
 
 
 def _choices(free, keep, required, tail):
@@ -265,10 +252,10 @@ class SolutionSet:
         else:  # the empty prefix joins nothing
             rans = _choices(*levels[0])
         size = CHUNK_GAPS // (len(dom_gaps) + grow) or 1
-        maps = _chunk(dom_gaps, rans, size)
+        maps = _trusted_chunk(dom_gaps, rans, size)
         if len(maps) < size:
             return maps
-        return chain(maps, chain.from_iterable(iter(partial(_chunk, dom_gaps, rans, size), [])))
+        return chain(maps, chain.from_iterable(iter(partial(_trusted_chunk, dom_gaps, rans, size), [])))
 
     def _rans(self, ks):
         # (levels, head) for the image gaps of the solutions whose blocks

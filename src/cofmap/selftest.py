@@ -46,6 +46,7 @@ from .core import (
     is_idempotent,
     iter_up_set,
     natural_leq,
+    preimage,
     shift,
     shift_threshold,
     tail_identity,
@@ -188,6 +189,11 @@ def _(rng, cases):
         yield all(evaluate(got, x) == oracle.get(x) for x in (rng.randint(1, 200) for _ in range(4)))
         yield all(evaluate(got, x) == (None if (y := evaluate(g, x)) is None else evaluate(h, y))
                   for x in range(1, 121))
+        # the preimage of a point y <= 60 is the point of rank at most 60
+        # outside got's domain gaps, at most 20 of them: so it is at most 80,
+        # inside the window of rows
+        back = {y: x for x, y in rows.items()}
+        yield all(preimage(got, y) == back.get(y) for y in range(1, 61))
 
 
 @check("composition is associative")

@@ -11,7 +11,7 @@ default ``cofmap selftest`` settings.
 import pytest
 
 import cofmap.selftest
-from cofmap import CofMap, compose, evaluate, in_adj_nbhd, in_zero_nbhd, shift, tail_identity
+from cofmap import CofMap, compose, evaluate, in_adj_nbhd, in_zero_nbhd, preimage, shift, tail_identity
 from cofmap.green import SolutionSet
 from cofmap.selftest import CHECKS, rng_for
 
@@ -38,6 +38,12 @@ def _evaluate_off_by_one(g, x):
     return y + 1 if y is not None and x >= 25 and x % 7 == 0 else y
 
 
+def _preimage_off_by_one(g, v):
+    # one too far at the points from 25 on that are multiples of 7
+    x = preimage(g, v)
+    return x + 1 if x is not None and v >= 25 and v % 7 == 0 else x
+
+
 def _in_adj_nbhd_admitting_wide_maps(x, anchor, elem):
     # also admits every map of shift x with more than 6 domain gaps
     wide = isinstance(elem, CofMap) and shift(elem) == x and len(elem.dom_gaps) > 6
@@ -57,6 +63,7 @@ class _DroppingLast(SolutionSet):
 MUTANTS = [
     ("compose", _compose_dropping_last_gaps, "compose agrees with pointwise composition"),
     ("evaluate", _evaluate_off_by_one, "shift is additive and the tail law holds"),
+    ("preimage", _preimage_off_by_one, "compose agrees with pointwise composition"),
     ("zero_stability_bound", lambda i, a: i + min(len(a.dom_gaps), len(a.ran_gaps)),
      "translation keeps zero neighborhoods stable"),
     ("canonical_leq", lambda a, b: shift(a) == shift(b),

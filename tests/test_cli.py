@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +296,17 @@ class TestRender:
         assert top.split()[1:-2] == [str(x) for x in xs]
         assert bottom.split()[1:-2] == [str(oracle[x]) for x in xs]
         assert elapsed < 0.1  # a walk costing (K + gaps) * gaps takes seconds here
+
+    def test_two_row_preview_builds_nothing_per_gap(self):
+        g = CofMap((), range(10**6, 2 * 10**6))
+        tracemalloc.start()
+        try:
+            rows = two_row_preview(g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == ["( 1 2 3 4 5 ... )", "( 1 2 3 4 5 ... )"]
+        assert peak < 2**20  # a set of the million gaps takes tens of megabytes
 
 
 # an element outside the carrier a command works in
