@@ -61,43 +61,12 @@ from itertools import islice
 from operator import lt
 from types import SimpleNamespace
 
-from .bicyclic import (
-    Bicyclic,
-    as_bicyclic,
-    congruence_witnesses,
-    conjugation_witness,
-    embed,
-    fresh_bicyclic,
-    standard_below,
-    tail_projection,
-)
-from .core import (
-    IDENTITY,
-    CofMap,
-    _trusted,
-    _unrank,
-    canonical_leq,
-    compose,
-    evaluate,
-    gapset,
-    iter_up_set,
-    natural_leq,
-    shift,
-    shift_threshold,
-)
-from .extensions import (
-    ZERO,
-    AdjoinedZero,
-    adj_mul,
-    in_adj_nbhd,
-    in_zero_nbhd,
-    zero_mul,
-    zero_stability_bound,
-)
-from .green import (
-    SolutionSet, connect_idempotents, green_d, green_h, green_l, green_r,
-    simplicity_witness, solve_left, solve_right,
-)
+from .core import IDENTITY, CofMap, _trusted, _unrank, compose, gapset, iter_up_set, shift
+
+# The library's other names are read from the package, which loads each
+# one's module on first use: an expression of maps never loads ``bicyclic``
+# or ``extensions``, and only the commands that call it load ``green``.
+_lib = sys.modules[__package__]
 
 # evaluation recurses once per level of parentheses, so this keeps it far
 # inside the interpreter's recursion limit
@@ -200,7 +169,7 @@ def parse(text: str):
                 _malformed(text, start)
             node = Lit(g, (start, pos))
         elif head == "b":
-            node = Lit(Bicyclic(_number(tok, 3), _number(tok, 4)), (start, pos))
+            node = Lit(_lib.Bicyclic(_number(tok, 3), _number(tok, 4)), (start, pos))
         elif head == "z":
             node = Lit(_number(tok, 5), (start, pos))
         elif head == "(":
@@ -210,7 +179,7 @@ def parse(text: str):
             factors = []
             continue
         elif head == "O":
-            node = Lit(ZERO, (start, pos))
+            node = Lit(_lib.ZERO, (start, pos))
         else:
             node = Lit(IDENTITY, (start, pos))
         # a run of primes, then "*", ")" or the end
@@ -218,7 +187,7 @@ def parse(text: str):
             tok = after(text, pos)
             if tok[1]:
                 first, end = tok.span(1)
-                if type(node) is Lit and isinstance(node.value, (int, AdjoinedZero)):
+                if type(node) is Lit and _carrier(node.value) in "zO":
                     raise ParseError("integers and the zero have no inverse", (first, first + 1))
                 if type(node) is not Inv:  # after "(a')", a run adds to the inverse inside
                     node = Inv(node, 0, first + 1, node.span)
@@ -366,12 +335,12 @@ def eval_expr(node):
         return node.value
     if isinstance(node, Inv):
         v = eval_expr(node.child)
-        if not isinstance(v, (CofMap, Bicyclic)):
+        if type(v) is not CofMap and _carrier(v) in "zO":
             # the first prime of the first run is the first inversion applied
             raise ExprTypeError("integers and the zero have no inverse",
                                 (node.child.span[0], node.first_end))
         return v.inverse() if node.primes % 2 else v
-    values, carriers = [], set()
+    values, carriers = [], set()  # the letters of the integers and the zero met
     for term in node.factors:
         if type(term) is Lit:
             v = term.value
@@ -379,8 +348,8 @@ def eval_expr(node):
             v = _power(v, term.count)
         else:
             v = eval_expr(term)
-        if isinstance(v, (int, AdjoinedZero)):
-            carriers.add(type(v))
+        if type(v) is not CofMap and (kind := _carrier(v)) in "zO":
+            carriers.add(kind)
             if len(carriers) == 2:
                 raise ExprTypeError("integers and the zero belong to different carriers",
                                     (node.span[0], term.span[1]))
@@ -406,43 +375,57 @@ def _power(v, n: int):
         v = mul(v, v)
 
 
+def _carrier(v) -> str:
+    """The letter of a value's carrier: "m" a map, "z" an integer, "b" a
+    bicyclic element, "O" the zero.  It loads no module: a value can be a
+    bicyclic element only once ``bicyclic`` is loaded, and what is left is
+    the zero."""
+    if type(v) is CofMap:
+        return "m"
+    if isinstance(v, int):
+        return "z"
+    bicyclic = sys.modules.get(f"{__package__}.bicyclic")
+    return "b" if bicyclic is not None and isinstance(v, bicyclic.Bicyclic) else "O"
+
+
 def _promote(v):
     """A bicyclic element as its map in the standard copy; others unchanged."""
-    return embed(v) if isinstance(v, Bicyclic) else v
+    return _lib.embed(v) if _carrier(v) == "b" else v
 
 
 def _mul_values(v, w):
     # eval_expr has already refused a chain that mixes integers and the zero
-    if isinstance(v, Bicyclic) and isinstance(w, Bicyclic):
+    kinds = _carrier(v) + _carrier(w)
+    if kinds == "bb":
         return v * w
     v, w = _promote(v), _promote(w)
-    return adj_mul(v, w) if isinstance(v, int) or isinstance(w, int) else zero_mul(v, w)
+    if "z" in kinds:
+        return _lib.adj_mul(v, w)
+    return _lib.zero_mul(v, w) if "O" in kinds else compose(v, w)
 
 
 def render(v) -> str:
     """Deterministic canonical text form; parse(render(v)) == v."""
-    if isinstance(v, AdjoinedZero):
-        return "O"
-    if isinstance(v, Bicyclic):
-        return f"b[{v.m},{v.n}]"
-    if isinstance(v, CofMap):
+    if type(v) is CofMap:
         return "m[%s;%s]" % (
             ",".join(map(str, v.dom_gaps)),
             ",".join(map(str, v.ran_gaps)),
         )
-    return f"z[{v}]"
+    kind = _carrier(v)
+    if kind == "b":
+        return f"b[{v.m},{v.n}]"
+    return "O" if kind == "O" else f"z[{v}]"
 
 
 def to_json(v):
     """JSON form: a map's two gap lists, a bicyclic normal form's exponents,
     and a ``kind`` tag for the zero and the integers."""
-    if isinstance(v, CofMap):
+    if type(v) is CofMap:
         return {"dom_gaps": list(v.dom_gaps), "ran_gaps": list(v.ran_gaps)}
-    if isinstance(v, Bicyclic):
+    kind = _carrier(v)
+    if kind == "b":
         return {"m": v.m, "n": v.n}
-    if isinstance(v, AdjoinedZero):
-        return {"kind": "zero"}
-    return {"kind": "int", "value": v}
+    return {"kind": "zero"} if kind == "O" else {"kind": "int", "value": v}
 
 
 def two_row_preview(g: CofMap, k: int) -> list[str]:
@@ -494,11 +477,12 @@ EXPR, FIRST, SECOND = ("expr", MAP), ("first", MAP), ("second", MAP)
 # -- the functions of the commands that have no single library call ---------
 
 def _shift_index(v):
-    if isinstance(v, AdjoinedZero):
+    kind = _carrier(v)
+    if kind == "O":
         raise ValueError("the zero has no shift index")
-    if isinstance(v, CofMap):
+    if kind == "m":
         return shift(v)
-    return v.n - v.m if isinstance(v, Bicyclic) else v
+    return v.n - v.m if kind == "b" else v
 
 
 def _upset(e):
@@ -508,20 +492,20 @@ def _upset(e):
 def _nbhd_zero(depth, elem):
     if isinstance(elem, int):
         raise ValueError("integers are not elements of the zero-adjoined monoid")
-    return in_zero_nbhd(depth, _promote(elem))
+    return _lib.in_zero_nbhd(depth, _promote(elem))
 
 
 def _nbhd_adj(point, anchor, elem):
-    if isinstance(elem, AdjoinedZero):
+    if _carrier(elem) == "O":
         raise ValueError("the zero is not an element of the adjunction semigroup")
-    return in_adj_nbhd(point, anchor, _promote(elem))
+    return _lib.in_adj_nbhd(point, anchor, _promote(elem))
 
 
 def _selftest(seed, cases):
     from .selftest import run_selftest  # not at start-up: only this command needs it
 
     results = run_selftest(seed=seed, cases=cases)
-    return SimpleNamespace(results=results, failed=sum(1 for _, k in results if k))
+    return SimpleNamespace(results=results, failed=sum(1 for _, k, _ in results if k))
 
 
 # -- output shapes: result, args -> the JSON document if args.json, else the
@@ -556,7 +540,7 @@ def _labelled(*labels):
 class _Listing:
     """A count line, then one element per line; JSON lists the elements, or
     for a solution set gives its equation too.  The result is a
-    :class:`SolutionSet` or a ``(count, members)`` pair, members in order;
+    ``SolutionSet`` or upset's ``(count, members)`` tuple, members in order;
     only ``--limit`` of them are taken, and ``--count`` prints the count
     alone.  A whole list of more than 2**``LISTING_LIMIT_LOG2`` members is
     refused."""
@@ -565,7 +549,7 @@ class _Listing:
         self.noun = noun
 
     def __call__(self, v, args):
-        solutions = isinstance(v, SolutionSet)
+        solutions = type(v) is not tuple  # told with no import of green
         count, members = (v.count, v) if solutions else v
         if args.count:
             return _scalar(count, args)
@@ -594,52 +578,57 @@ def _congruence(witnesses, args):
 
 
 def _selftest_report(report, args):
+    """A line a check, with the error that ended a law under its FAIL line, then the totals."""
     passed = len(report.results) - report.failed
     if args.json:
         return {"seed": args.seed, "cases": args.cases, "passed": passed, "failed": report.failed,
-                "checks": [{"name": n, "failures": k} for n, k in report.results]}
-    return ([f"{'PASS' if k == 0 else 'FAIL'}  {n}" + ("" if k == 0 else f"  ({k} failures)")
-             for n, k in report.results]
-            + [f"passed={passed} failed={report.failed} seed={args.seed} cases={args.cases}"])
+                "checks": [{"name": n, "failures": k, "error": e} for n, k, e in report.results]}
+    lines = []
+    for n, k, e in report.results:
+        lines.append(f"PASS  {n}" if k == 0 else f"FAIL  {n}  ({k} failures)")
+        if e is not None:
+            lines.append(f"  error: {e}")
+    return lines + [f"passed={passed} failed={report.failed} seed={args.seed} cases={args.cases}"]
 
 
 # name -> (help, arguments, function, output shape).  An argument is (name,
 # kind), or an option ("--name", kind, default).  int and COUNT are
 # read with argv, ELEM and MAP text in main's try, where a ParseError is a
 # parse error, not a usage error.  CHOICE picks the function from the row's
-# dict; the other arguments reach it in order.
+# dict; the other arguments reach it in order.  A library function is named,
+# and main reads it from the package when its command runs.
 COMMANDS = {
     "eval": ("evaluate an expression", [("expr", str)], ELEM, _element),
-    "apply": ("apply a map expression to a point", [EXPR, ("point", int)], evaluate, _scalar),
+    "apply": ("apply a map expression to a point", [EXPR, ("point", int)], "evaluate", _scalar),
     "f": ("eventual shift index of an element", [("expr", ELEM)], _shift_index, _scalar),
-    "tail": ("threshold past which the map is a pure shift", [EXPR], shift_threshold, _scalar),
+    "tail": ("threshold past which the map is a pure shift", [EXPR], "shift_threshold", _scalar),
     "green": ("test a Green relation", [("relation", CHOICE), FIRST, SECOND],
-              {"R": green_r, "L": green_l, "H": green_h, "D": green_d}, _scalar),
+              {"R": "green_r", "L": "green_l", "H": "green_h", "D": "green_d"}, _scalar),
     "leq": ("natural (idempotents) or canonical order", [("order", CHOICE), FIRST, SECOND],
-            {"nat": natural_leq, "canon": canonical_leq}, _scalar),
-    "connect": ("map linking two idempotents", [FIRST, SECOND], connect_idempotents, _element),
+            {"nat": "natural_leq", "canon": "canonical_leq"}, _scalar),
+    "connect": ("map linking two idempotents", [FIRST, SECOND], "connect_idempotents", _element),
     "simple-witness": ("maps g,d with g*A*d == B", [FIRST, SECOND],
-                       simplicity_witness, _labelled("left", "right")),
+                       "simplicity_witness", _labelled("left", "right")),
     "solve": ("all x with A*x == B (right) or x*A == B (left)",
               [("side", CHOICE), ("factor", MAP), ("target", MAP)],
-              {"right": solve_right, "left": solve_left}, _Listing("solution(s)")),
+              {"right": "solve_right", "left": "solve_left"}, _Listing("solution(s)")),
     "upset": ("all idempotents above an idempotent", [EXPR], _upset, _Listing("idempotent(s)")),
-    "bc-member": ("normal form in the standard bicyclic copy", [EXPR], as_bicyclic, _element),
+    "bc-member": ("normal form in the standard bicyclic copy", [EXPR], "as_bicyclic", _element),
     "fresh-bicyclic": ("bicyclic copy below an idempotent, disjoint from the standard one", [EXPR],
-                       fresh_bicyclic, _labelled("unity", "up", "down")),
+                       "fresh_bicyclic", _labelled("unity", "up", "down")),
     "project-c": ("standard-copy stand-in and gluing idempotent", [EXPR],
-                  tail_projection, _labelled("approximant", "idempotent")),
-    "below-c": ("standard-copy idempotent below an idempotent", [EXPR], standard_below, _element),
+                  "tail_projection", _labelled("approximant", "idempotent")),
+    "below-c": ("standard-copy idempotent below an idempotent", [EXPR], "standard_below", _element),
     "conj-witness": ("idempotent whose conjugates under the map stay standard", [EXPR],
-                     conjugation_witness, _labelled("idempotent", "conjugate_left", "conjugate_right")),
+                     "conjugation_witness", _labelled("idempotent", "conjugate_left", "conjugate_right")),
     "gcong": ("least-group-congruence test with witnesses", [FIRST, SECOND],
-              congruence_witnesses, _congruence),
+              "congruence_witnesses", _congruence),
     "nbhd-zero": ("membership in a basic zero neighborhood", [("depth", int), ("expr", ELEM)],
                   _nbhd_zero, _scalar),
     "nbhd-adj": ("membership in a basic integer neighborhood",
                  [("point", int), ("anchor", MAP), ("expr", ELEM)], _nbhd_adj, _scalar),
     "stability": ("translation-stability bound for zero neighborhoods", [("depth", int), EXPR],
-                  zero_stability_bound, _scalar),
+                  "zero_stability_bound", _scalar),
     "selftest": ("run the randomized property suite", [("--seed", int, 1), ("--cases", COUNT, 300)],
                  _selftest, _selftest_report),
 }
@@ -762,7 +751,7 @@ def main(argv=None) -> int:
                 fn = fn[text]
             else:
                 values.append(kind(text))
-        result = fn(*values)
+        result = (getattr(_lib, fn) if type(fn) is str else fn)(*values)
         shown = shape(result, args)
         if args.json:
             import json

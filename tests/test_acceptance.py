@@ -11,7 +11,8 @@ default ``cofmap selftest`` settings.
 import pytest
 
 import cofmap.selftest
-from cofmap import CofMap, compose, evaluate, in_adj_nbhd, in_zero_nbhd, preimage, shift, tail_identity
+from cofmap import (CofMap, adj_mul, compose, evaluate, in_adj_nbhd, in_zero_nbhd, preimage, shift,
+                    tail_identity, zero_mul)
 from cofmap.green import SolutionSet
 from cofmap.selftest import CHECKS, rng_for
 
@@ -21,9 +22,11 @@ CASES = 10_000
 
 @pytest.mark.parametrize("name,law", CHECKS, ids=[name for name, _ in CHECKS])
 def test_law(name, law):
-    failures = law(rng_for(SEED, name), CASES)
+    errors = []  # the error of an exception that ended the law, counted as one failure
+    failures = law(rng_for(SEED, name), CASES, errors)
     assert failures == 0, (
-        f"{failures} failure(s); replay with: cofmap selftest --seed {SEED} --cases {CASES}")
+        f"{failures} failure(s){''.join(f', ended by {e}' for e in errors)}; "
+        f"replay with: cofmap selftest --seed {SEED} --cases {CASES}")
 
 
 def _compose_dropping_last_gaps(g, h):
@@ -74,6 +77,14 @@ MUTANTS = [
      "inverse axioms and commuting idempotents"),
     ("tail_identity", lambda k: tail_identity(k + 1 if k > 3 else k), "absorbing and dominated standard idempotents"),
     ("in_zero_nbhd", lambda i, x: in_zero_nbhd(i - 1 if i > 2 else i, x), "neighborhood bases filter correctly"),
+    # products in the opposite order, which are associative too
+    ("zero_mul", lambda x, y: zero_mul(y, x), "zero and adjunction semigroups are associative"),
+    ("adj_mul", lambda x, y: adj_mul(y, x), "zero and adjunction semigroups are associative"),
+    # relations that read only the first five gaps of a side
+    ("green_l", lambda a, b: a.ran_gaps[:5] == b.ran_gaps[:5],
+     "Green relations match their idempotent forms; H is equality"),
+    ("green_r", lambda a, b: a.dom_gaps[:5] == b.dom_gaps[:5],
+     "Green relations match their idempotent forms; H is equality"),
 ]
 
 

@@ -520,6 +520,37 @@ class TestIO:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (r.returncode, r.stdout) == (0, "[]\n4\n0 False\n")
 
+    @pytest.mark.parametrize("argv,out,extra", [
+        (["eval", "m[1;2] * m[;3]"], "m[1;2,3]\n", []),
+        (["eval", "b[1,2]"], "b[1,2]\n", ["cofmap.bicyclic"]),
+        (["solve", "right", "m[;1]", "m[;1,2]"], "3 solution(s)\nm[;1]\nm[;2]\nm[1;1,2]\n", ["cofmap.green"]),
+    ], ids=["eval-maps", "eval-bicyclic", "solve"])
+    def test_a_process_loads_the_modules_its_command_reaches(self, argv, out, extra):
+        # the CLI as `python -m cofmap` runs it, compiling from source; the
+        # modules it loaded are printed after its output
+        code = ("import runpy, sys\n"
+                f"sys.argv = ['cofmap', *{argv!r}]\n"
+                "try:\n    runpy.run_module('cofmap', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0\n"
+                "print(*sorted(name for name in sys.modules if name.startswith('cofmap')))")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cofmap.__file__)))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        want = " ".join(sorted(["cofmap", "cofmap.cli", "cofmap.core", *extra]))
+        assert (r.returncode, r.stdout, r.stderr) == (0, f"{out}{want}\n", "")
+
+    def test_submodules_and_names_load_on_first_access(self):
+        code = ("import cofmap; from cofmap import CofMap; "
+                "print(cofmap.green.solve_right(CofMap((), (1,)), CofMap((), (1, 2))).count)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cofmap.__file__)))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (r.returncode, r.stdout) == (0, "3\n")
+        for name, home in cofmap._HOME.items():
+            assert getattr(cofmap, name) is getattr(getattr(cofmap, home), name)
+        assert {*cofmap._HOME, "core", "green", "bicyclic", "extensions", "cli", "selftest"} <= set(dir(cofmap))
+        with pytest.raises(AttributeError):
+            cofmap.no_such_name
+
     def test_no_argv_loads_argparse_or_gettext(self):
         # json is loaded only to print --json output
         def imported(*argv, stdin=None):  # the module names that -X importtime lists on stderr
@@ -580,7 +611,30 @@ class TestIO:
         assert main([*argv, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert (doc["passed"], doc["failed"]) == (20, 1)
-        assert [c for c in doc["checks"] if c["failures"]] == [{"name": name, "failures": 45}]
+        assert [c for c in doc["checks"] if c["failures"]] == [{"name": name, "failures": 45, "error": None}]
+
+    def test_a_law_that_raises_is_one_failure_of_that_law(self, capsys, monkeypatch):
+        # a shift one too high on maps with more than 3 domain gaps: the
+        # neighborhood law then draws an anchor that in_adj_nbhd refuses
+        import cofmap.selftest
+
+        shift = cofmap.selftest.shift
+        monkeypatch.setattr(cofmap.selftest, "shift", lambda g: shift(g) + (len(g.dom_gaps) > 3))
+        name = "neighborhood bases filter correctly"
+        error = "ValueError: anchor shift -1 must equal the neighborhood's integer 0"
+        argv = ["selftest", "--seed", "1", "--cases", "300"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len([line for line in lines if line.startswith(("PASS  ", "FAIL  "))]) == 21
+        at = lines.index(f"FAIL  {name}  (2 failures)")
+        assert lines[at + 1] == f"  error: {error}"
+        assert [line for line in lines if "error" in line] == [f"  error: {error}"]
+        assert lines[-1].startswith("passed=") and err == ""
+        assert main([*argv, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["checks"]) == 21
+        assert [(c["name"], c["failures"], c["error"]) for c in doc["checks"] if c["error"]] == [(name, 2, error)]
 
     def test_selftest_deterministic_across_processes(self):
         a = run_cli("selftest", "--cases", "30", "--json")
@@ -690,7 +744,7 @@ GOLDEN.append((
     ["selftest", "--cases", "5", "--seed", "2"],
     _selftest_text,
     '{"seed":2,"cases":5,"passed":21,"failed":0,"checks":['
-    + ",".join('{"name":"%s","failures":0}' % n for n in SELFTEST_CHECKS) + "]}\n",
+    + ",".join('{"name":"%s","failures":0,"error":null}' % n for n in SELFTEST_CHECKS) + "]}\n",
     _selftest_text,
 ))
 
